@@ -239,6 +239,18 @@ def _check_cov(report, label, mat):
         report.add(f"{label} is not positive semi-definite")
 
 
+def _check_finite(report, label, values, where=None) -> bool:
+    """Report NaN/inf entries of ``values``; ``where`` names the bad rows.
+
+    Returns True when every entry is finite.
+    """
+    values = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
+    if bad.size:
+        report.add(f"{label} is not finite" + (f" for {where(bad)}" if where else ""))
+    return not bad.size
+
+
 def validate(network: NetworkModel, matrices: CombinationMatrices | None = None) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises.
 
@@ -263,19 +275,23 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         rep.add("topology is not connected")
 
     prof = network.nodes
+
+    def nodes(bad):
+        return f"nodes {(bad + 1).tolist()}"
+
     if prof.r_u.shape != (n, m, m):
         rep.add(f"r_u has shape {prof.r_u.shape}, expected ({n}, {m}, {m})")
-    else:
+    elif _check_finite(rep, "r_u", prof.r_u, nodes):
         for k in range(n):
             _check_cov(rep, f"node {k + 1} regressor covariance", prof.r_u[k])
     if prof.sigma_v2.shape != (n,):
         rep.add(f"sigma_v2 has shape {prof.sigma_v2.shape}, expected ({n},)")
-    elif np.any(prof.sigma_v2 < 0):
+    elif _check_finite(rep, "sigma_v2", prof.sigma_v2, nodes) and np.any(prof.sigma_v2 < 0):
         bad = np.flatnonzero(prof.sigma_v2 < 0) + 1
         rep.add(f"nodes {bad.tolist()} have negative measurement-noise variance")
     if prof.mu.shape != (n,):
         rep.add(f"mu has shape {prof.mu.shape}, expected ({n},)")
-    elif np.any(prof.mu <= 0):
+    elif _check_finite(rep, "mu", prof.mu, nodes) and np.any(prof.mu <= 0):
         bad = np.flatnonzero(prof.mu <= 0) + 1
         rep.add(f"nodes {bad.tolist()} have non-positive step-size")
 
@@ -288,11 +304,19 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         "r_u_link": (n_links, m, m),
         "r_psi": (n_links, m, m),
     }
+
+    def link_names(bad):
+        return "links " + ", ".join(f"{links[p][0] + 1}->{links[p][1] + 1}" for p in bad)
+
+    link_noise_ok = True
     for name, want in shapes.items():
         got = getattr(ln, name).shape
         if got != want:
             rep.add(f"link_noise.{name} has shape {got}, expected {want}")
-    if ln.r_w.shape == (n_links, m, m):
+            link_noise_ok = False
+        elif not _check_finite(rep, f"link_noise.{name}", getattr(ln, name), link_names):
+            link_noise_ok = False
+    if link_noise_ok:
         for p, (l, k) in enumerate(links):
             tag = f"link {l + 1}->{k + 1}"
             _check_cov(rep, f"{tag} estimate-noise covariance", ln.r_w[p])
@@ -306,15 +330,20 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         rep.add(f"unknown weight mode '{w.mode}'")
     if np.asarray(w.w0).shape != (m,):
         rep.add(f"w0 has shape {np.asarray(w.w0).shape}, expected ({m},)")
+    else:
+        _check_finite(rep, "w0", [w.w0])
     if w.mode == "random_walk":
         if w.r_eta is None:
             rep.add("random_walk mode requires r_eta")
         elif np.asarray(w.r_eta).shape != (m, m):
             rep.add(f"r_eta has shape {np.asarray(w.r_eta).shape}, expected ({m}, {m})")
-        else:
+        elif _check_finite(rep, "r_eta", [w.r_eta]):
             _check_cov(rep, "r_eta", w.r_eta)
-    if w.mode == "rotation" and w.omega is None:
-        rep.add("rotation mode requires omega")
+    if w.mode == "rotation":
+        if w.omega is None:
+            rep.add("rotation mode requires omega")
+        else:
+            _check_finite(rep, "omega", [w.omega])
 
     if matrices is not None:
         _validate_matrices(rep, topo, matrices)

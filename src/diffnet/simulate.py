@@ -520,6 +520,11 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
         raise ValueError("runs must be at least 1")
     if options.adaptive_slot not in (None, "a2"):
         raise ValueError("adaptive_slot must be None or 'a2'")
+    for name in ("window", "chunk_size", "threads"):
+        if getattr(options, name) < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if not (np.isfinite(options.divergence_threshold) and options.divergence_threshold > 0):
+        raise ValueError("divergence_threshold must be finite and positive")
     mode = _resolve_mode(network, options)
     op = _StepOperator(network, matrices)
     n, m = op.n, op.m

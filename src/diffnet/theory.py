@@ -3,22 +3,23 @@
 Everything here works on the stacked network error vector (node-major, M
 coordinates per node). The central objects are the mean-transition matrix B,
 the mean driving vector z induced by regressor link noise (it biases the
-mean), and the second-order noise moments feeding the steady-state metric
+mean), and the second-order noise moments W feeding the steady-state metric
 
-    value = [vec(numerator)]^* (I - F)^{-1} vec(weighting),   F = B^T kron B^H,
+    value = tr(X omega),   X = B X B^H + W  (a Stein / discrete Lyapunov equation),
 
-evaluated by a direct Kronecker solve for small networks and by geometric
-series accumulation for large ones. Network MSD uses weighting I/N, network
+solved by squared Smith doubling (R. A. Smith, SIAM J. Appl. Math. 16(1),
+1968) with NM x NM products only. Network MSD uses weighting I/N, network
 EMSE the block-diagonal regressor covariance over N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import kron_lift, spectral_radius, vec
+from .linalg import kron_lift, spectral_radius
 from .network import CombinationMatrices, NetworkModel, link_index
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
     "theory_report",
 ]
 
-DIRECT_SOLVE_LIMIT = 64  # stacked dimension above which the series path is used
+STEIN_MAX_STEPS = 64  # doubling steps; step k covers 2^k series terms
 IMAG_RESIDUAL_TOL = 1e-8
 ILL_CONDITIONED_TOL = 1e-6
 
@@ -76,6 +77,11 @@ class MeanDynamics:
     a1_lift: np.ndarray
     a2_lift: np.ndarray
     c_lift: np.ndarray
+
+    @cached_property
+    def rho_b(self) -> float:
+        """Spectral radius of b, computed once per assembly."""
+        return spectral_radius(self.b)
 
 
 def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
@@ -158,10 +164,11 @@ def _safe_bound(lam: float) -> float:
     return 2.0 / lam if lam > 0 else np.inf
 
 
-def step_size_bounds(network: NetworkModel, matrices: CombinationMatrices) -> StepSizeBounds:
+def step_size_bounds(network: NetworkModel, matrices: CombinationMatrices,
+                     mean_dynamics: MeanDynamics | None = None) -> StepSizeBounds:
     topo = network.topology
     n = network.n_nodes
-    md = assemble_mean_dynamics(network, matrices)
+    md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
     links = link_index(topo)
     pos = {lk: p for p, lk in enumerate(links)}
     r_u = network.nodes.r_u
@@ -296,44 +303,44 @@ def _series_accumulate(b: np.ndarray, numerator: np.ndarray, omega: np.ndarray,
     raise InstabilityError(f"series did not converge within {max_terms} terms")
 
 
-def _steady_state_values(b: np.ndarray, pairs, *, direct_limit: int = DIRECT_SOLVE_LIMIT,
-                         tol: float = 1e-9, max_terms: int = 10 ** 6):
-    """Evaluate [vec(W)]^* (I-F)^{-1} vec(omega) for (W, omega) pairs."""
-    rho2 = spectral_radius(b) ** 2
-    if rho2 >= 1.0:
-        raise InstabilityError(
-            f"mean-square recursion unstable: rho(B)^2 = {rho2:.6f} >= 1"
-        )
-    dim = b.shape[0]
-    values = []
-    if dim <= direct_limit:
-        f = np.kron(b.T, b.conj().T)
-        rhs = np.stack([vec(omega) for _, omega in pairs], axis=1)
-        sol = np.linalg.solve(np.eye(dim * dim) - f, rhs)
-        for j, (num, _) in enumerate(pairs):
-            values.append(_check_real(complex(vec(num).conj() @ sol[:, j]),
-                                      "steady-state metric"))
-    else:
-        for num, omega in pairs:
-            total, _ = _series_accumulate(b, num, omega, rho2, tol, max_terms)
-            values.append(_check_real(total, "steady-state metric (series)"))
-    return values
+def _stein_solve(b: np.ndarray, numerators, rho_b: float) -> np.ndarray:
+    """Stack of solutions X = b X b^H + W, one per numerator W, by squared Smith doubling.
+
+    Step k adds a x a^H with a = b^(2^k), doubling the series terms held in x.
+    It stops once every increment is below machine precision relative to its x.
+    """
+    if rho_b ** 2 >= 1.0:
+        raise InstabilityError(f"mean-square recursion unstable: rho(B)^2 = {rho_b ** 2:.6f} >= 1")
+    x = np.array(numerators, dtype=complex)
+    a = np.asarray(b, dtype=complex)
+    eps = np.finfo(float).eps
+    for _ in range(STEIN_MAX_STEPS):
+        step = a @ x @ a.conj().T
+        x = x + step
+        if np.all(np.linalg.norm(step, axis=(1, 2)) <= eps * np.linalg.norm(x, axis=(1, 2))):
+            return x
+        a = a @ a
+    raise InstabilityError(f"Stein solve did not converge within {STEIN_MAX_STEPS} doubling steps")
+
+
+def _steady_state_values(md: MeanDynamics, numerators, omegas) -> list[list[float]]:
+    """tr(X omega) for each numerator's Stein solution X and each weighting."""
+    xs = _stein_solve(md.b, numerators, md.rho_b)
+    return [[_check_real(complex(np.einsum("ij,ji->", x, omega)), "steady-state metric")
+             for omega in omegas] for x in xs]
 
 
 def steady_state_metric(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
                         omega: np.ndarray) -> float:
     """Steady-state weighted error power for an arbitrary PSD weighting."""
     num = _general_numerator(mean_dynamics, noise_moments)
-    return _steady_state_values(mean_dynamics.b, [(num, omega)])[0]
+    return _steady_state_values(mean_dynamics, [num], [omega])[0][0]
 
 
-def _omega_msd(network: NetworkModel) -> np.ndarray:
-    nm_dim = network.n_nodes * network.m_dim
-    return np.eye(nm_dim) / network.n_nodes
-
-
-def _omega_emse(network: NetworkModel) -> np.ndarray:
-    return _block_diag(network.nodes.r_u) / network.n_nodes
+def _omegas(network: NetworkModel) -> list[np.ndarray]:
+    """The network MSD and EMSE weightings, in that order."""
+    n = network.n_nodes
+    return [np.eye(n * network.m_dim) / n, _block_diag(network.nodes.r_u) / n]
 
 
 def _require_identity_c(matrices: CombinationMatrices) -> None:
@@ -344,7 +351,7 @@ def _require_identity_c(matrices: CombinationMatrices) -> None:
 
 def network_metrics(network: NetworkModel, matrices: CombinationMatrices,
                     simplified: bool = False) -> tuple[float, float]:
-    """(MSD, EMSE) in linear scale, one factorization for both."""
+    """(MSD, EMSE) in linear scale, one Stein solve for both."""
     md = assemble_mean_dynamics(network, matrices)
     nm = assemble_noise_moments(network, matrices, md)
     if simplified:
@@ -352,9 +359,8 @@ def network_metrics(network: NetworkModel, matrices: CombinationMatrices,
         num = _simplified_numerator(md, nm)
     else:
         num = _general_numerator(md, nm)
-    vals = _steady_state_values(md.b, [(num, _omega_msd(network)),
-                                       (num, _omega_emse(network))])
-    return vals[0], vals[1]
+    msd, emse = _steady_state_values(md, [num], _omegas(network))[0]
+    return msd, emse
 
 
 def network_msd(network: NetworkModel, matrices: CombinationMatrices,
@@ -408,7 +414,8 @@ class TrackingMetrics:
 
 
 def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
-                     r_eta: np.ndarray | None = None) -> TrackingMetrics:
+                     r_eta: np.ndarray | None = None, mean_dynamics: MeanDynamics | None = None,
+                     noise_moments: NoiseMoments | None = None) -> TrackingMetrics:
     """Steady-state metrics when the target performs a random walk.
 
     The target increments add a rank-structured covariance (every node sees
@@ -420,8 +427,9 @@ def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
         r_eta = network.weights.r_eta
     if r_eta is None:
         raise ValueError("tracking metrics need r_eta (none on the network)")
-    md = assemble_mean_dynamics(network, matrices)
-    nm = assemble_noise_moments(network, matrices, md)
+    md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
+    nm = (noise_moments if noise_moments is not None
+          else assemble_noise_moments(network, matrices, md))
     n = network.n_nodes
     r_zeta = np.kron(np.ones((n, n)), np.asarray(r_eta, dtype=complex))
 
@@ -433,15 +441,8 @@ def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
         )
 
     num = _general_numerator(md, nm)
-    omega_msd, omega_emse = _omega_msd(network), _omega_emse(network)
-    vals = _steady_state_values(md.b, [
-        (num + r_zeta, omega_msd),
-        (num + r_zeta, omega_emse),
-        (num, omega_msd),
-        (num, omega_emse),
-    ])
-    return TrackingMetrics(msd=vals[0], emse=vals[1],
-                           msd_stationary=vals[2], emse_stationary=vals[3])
+    (msd, emse), (msd_st, emse_st) = _steady_state_values(md, [num + r_zeta, num], _omegas(network))
+    return TrackingMetrics(msd=msd, emse=emse, msd_stationary=msd_st, emse_stationary=emse_st)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +534,7 @@ def stability_report(mean_dynamics: MeanDynamics) -> StabilityInfo:
     maximum norm.
     """
     md = mean_dynamics
-    rho_b = spectral_radius(md.b)
+    rho_b = md.rho_b
     m = md.m_dim
     eye = np.eye(m)
     mu = np.real(np.diag(md.big_m)).reshape(md.n_nodes, m)[:, 0]
@@ -612,7 +613,7 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
     """
     md = assemble_mean_dynamics(network, matrices)
     stab = stability_report(md)
-    bounds = step_size_bounds(network, matrices)
+    bounds = step_size_bounds(network, matrices, md)
     warnings: list[str] = []
 
     if not stab.mean_stable or not np.all(bounds.ok_tight()):
@@ -639,15 +640,13 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
         nm = assemble_noise_moments(network, matrices, md)
         num = _general_numerator(md, nm)
         try:
-            vals = _steady_state_values(md.b, [(num, _omega_msd(network)),
-                                               (num, _omega_emse(network))])
-            msd, emse = vals
+            msd, emse = _steady_state_values(md, [num], _omegas(network))[0]
         except InstabilityError as exc:
             warnings.append(f"steady-state solve failed: {exc}")
         if (network.weights.mode == "random_walk"
                 and network.weights.r_eta is not None and msd is not None):
             try:
-                tm = tracking_metrics(network, matrices)
+                tm = tracking_metrics(network, matrices, mean_dynamics=md, noise_moments=nm)
                 msd_track, emse_track = tm.msd, tm.emse
             except (InstabilityError, ValueError) as exc:
                 warnings.append(f"tracking metrics failed: {exc}")

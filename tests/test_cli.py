@@ -131,6 +131,15 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field", ["mu", "sigma_v2"])
+    def test_nan_literal_in_network_file_is_config_error(self, field, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10)
+        data = json.loads((tmp_path / "net.json").read_text())
+        data["nodes"][0][field] = "__BAD__"
+        (tmp_path / "net.json").write_text(json.dumps(data).replace('"__BAD__"', "NaN"))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"{field} is not finite" in capsys.readouterr().err
+
     def test_scenario_without_network_entry(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"runs": 2}))

@@ -163,6 +163,38 @@ class TestValidate:
         rep = validate(net)
         assert any("link_noise" in v for v in rep.violations)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mu", "sigma_v2", "r_u"])
+    def test_non_finite_node_statistics(self, field, bad):
+        net = make_network(chain3())
+        getattr(net.nodes, field)[1] = bad
+        rep = validate(net)
+        assert any(v.startswith(f"{field} is not finite") and "nodes [2]" in v
+                   for v in rep.violations)
+
+    @pytest.mark.parametrize("field", ["r_w", "sigma_d2", "r_u_link", "r_psi"])
+    def test_non_finite_link_noise(self, field):
+        net = make_network(chain3())
+        getattr(net.link_noise, field)[2] = np.nan
+        l, k = link_index(net.topology)[2]
+        rep = validate(net)
+        assert any(v.startswith(f"link_noise.{field} is not finite")
+                   and f"{l + 1}->{k + 1}" in v for v in rep.violations)
+
+    def test_non_finite_target(self):
+        net = make_network(chain3(), mode="random_walk")
+        net.weights.w0[0] = np.inf
+        net.weights.r_eta[0, 0] = np.nan
+        rep = validate(net)
+        assert any(v.startswith("w0 is not finite") for v in rep.violations)
+        assert any(v.startswith("r_eta is not finite") for v in rep.violations)
+
+    def test_non_finite_rotation_rate(self):
+        net = make_network(chain3(), mode="rotation")
+        net.weights.omega = np.nan
+        rep = validate(net)
+        assert any(v.startswith("omega is not finite") for v in rep.violations)
+
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),

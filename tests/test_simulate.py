@@ -486,6 +486,19 @@ class TestRunMonteCarlo:
                             SimulationOptions(adaptive_slot="a1"),
                             runs=1, iterations=5, rng_policy=RngPolicy(0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("window", 0), ("window", -4), ("chunk_size", 0), ("chunk_size", -1),
+        ("threads", 0), ("threads", -2), ("divergence_threshold", 0.0),
+        ("divergence_threshold", -1.0), ("divergence_threshold", np.nan),
+        ("divergence_threshold", np.inf),
+    ])
+    def test_bad_engine_option_rejected_by_name(self, field, value):
+        net = single_node()
+        with pytest.raises(ValueError, match=field):
+            run_monte_carlo(net, CombinationMatrices.identity(1),
+                            SimulationOptions(**{field: value}),
+                            runs=1, iterations=5, rng_policy=RngPolicy(0))
+
 
 class TestSteadyStateLevel:
     def test_trailing_mean(self):

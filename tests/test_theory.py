@@ -14,7 +14,10 @@ from diffnet.network import (
     link_index,
     random_network,
 )
+from diffnet import theory
 from diffnet.theory import (
+    _general_numerator,
+    _stein_solve,
     InstabilityError,
     assemble_mean_dynamics,
     assemble_noise_moments,
@@ -228,6 +231,87 @@ class TestSteadyState:
         assert network_msd(net, mats) == pytest.approx(msd, rel=1e-12)
 
 
+def kronecker_value(b, numerator, omega):
+    """[vec W]^* (I - B^T kron B^H)^{-1} vec(omega), the dense closed form."""
+    dim = b.shape[0]
+    vec_w = numerator.reshape(-1, order="F")
+    vec_omega = omega.reshape(-1, order="F")
+    sol = np.linalg.solve(np.eye(dim * dim) - np.kron(b.T, b.conj().T), vec_omega)
+    return complex(vec_w.conj() @ sol)
+
+
+def random_psd(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T / dim
+
+
+class TestSteinSolver:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_kronecker_formula_on_networks(self, seed):
+        net, mats = noisy_instance(seed, n=4 + seed % 3)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=1e-4 * np.eye(2, dtype=complex))
+        md = assemble_mean_dynamics(net, mats)
+        nm = assemble_noise_moments(net, mats, md)
+        n = net.n_nodes
+        num = _general_numerator(md, nm)
+        tracking_num = num + np.kron(np.ones((n, n)), net.weights.r_eta)
+        omegas = theory._omegas(net)
+        xs = _stein_solve(md.b, [num, tracking_num], md.rho_b)
+        for x, w in zip(xs, [num, tracking_num]):
+            for omega in omegas:
+                want = kronecker_value(md.b, w, omega)
+                got = np.einsum("ij,ji->", x, omega)
+                assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_matches_kronecker_formula_non_normal_near_unit_radius(self):
+        rng = np.random.default_rng(5)
+        dim = 12
+        eigs = rng.uniform(0.3, 0.95, dim) * np.exp(2j * np.pi * rng.uniform(size=dim))
+        eigs[0] = 0.999
+        upper = np.triu(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), 1)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        b = q @ (np.diag(eigs) + 0.3 * upper) @ q.conj().T
+        rho_b = spectral_radius(b)
+        assert rho_b == pytest.approx(0.999, abs=1e-9)
+        assert np.linalg.norm(b @ b.conj().T - b.conj().T @ b) > 1.0
+        numerators = [random_psd(rng, dim), random_psd(rng, dim)]
+        omega = random_psd(rng, dim)
+        xs = _stein_solve(b, numerators, rho_b)
+        for x, w in zip(xs, numerators):
+            want = kronecker_value(b, w, omega)
+            got = np.einsum("ij,ji->", x, omega)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_matches_series_beyond_small_networks(self):
+        net = random_network(40, 40, 2, 0.3, NOISY_RANGES)
+        mats = CombinationMatrices(a1=np.eye(40), c=np.eye(40), a2=metropolis(net.topology))
+        md = assemble_mean_dynamics(net, mats)
+        nm = assemble_noise_moments(net, mats, md)
+        msd, emse = network_metrics(net, mats)
+        msd_series, _ = series_msd(md, nm)
+        emse_series, _ = series_emse(md, nm, net.nodes.r_u)
+        assert abs(msd_series - msd) <= 1e-8 * abs(msd)
+        assert abs(emse_series - emse) <= 1e-8 * abs(emse)
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
+    def test_rejects_radius_at_or_above_one(self, radius):
+        b = np.array([[radius]], dtype=complex)
+        with pytest.raises(InstabilityError, match=r"rho\(B\)\^2"):
+            _stein_solve(b, [np.eye(1)], spectral_radius(b))
+
+    def test_unstable_tracking_raises(self):
+        net = scalar_network(mu=3.0)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=np.eye(1, dtype=complex))
+        with pytest.raises(InstabilityError, match=r"rho\(B\)\^2"):
+            tracking_metrics(net, CombinationMatrices.identity(1))
+
+    def test_non_finite_input_stops_at_the_step_cap(self):
+        with pytest.raises(InstabilityError, match="did not converge"):
+            _stein_solve(np.array([[np.nan]]), [np.eye(1)], 0.5)
+
+
 class TestStepSizeBounds:
     @pytest.mark.parametrize("seed", range(6))
     def test_robust_never_exceeds_noise_free(self, seed):
@@ -365,6 +449,28 @@ class TestTracking:
 
 
 class TestTheoryReport:
+    def test_report_assembles_once(self, monkeypatch):
+        net = random_network(11, 4, 2, 0.6, NOISY_RANGES)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=1e-5 * np.eye(2, dtype=complex))
+        mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
+        calls = {"mean": 0, "noise": 0, "radius": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(theory, "assemble_mean_dynamics",
+                            counted("mean", theory.assemble_mean_dynamics))
+        monkeypatch.setattr(theory, "assemble_noise_moments",
+                            counted("noise", theory.assemble_noise_moments))
+        monkeypatch.setattr(theory, "spectral_radius", counted("radius", theory.spectral_radius))
+        report = theory_report(net, mats)
+        assert report.msd_track is not None
+        assert calls == {"mean": 1, "noise": 1, "radius": 1}
+
     def test_stable_scalar_report(self):
         net = scalar_network(mu=0.01)
         report = theory_report(net, CombinationMatrices.identity(1))
