@@ -18,6 +18,7 @@ from .combine import (
 from .network import (
     CombinationMatrices,
     LinkNoiseProfile,
+    LinkTable,
     NetworkModel,
     NodeProfile,
     Topology,
@@ -31,6 +32,7 @@ from .network import (
     random_network,
     save_network,
     validate,
+    validate_matrices,
 )
 from .simulate import (
     DiffusionState,

@@ -32,6 +32,7 @@ from .network import (
     random_network,
     save_network,
     validate,
+    validate_matrices,
 )
 from .simulate import (
     RngPolicy,
@@ -138,7 +139,7 @@ def _build_matrices(scenario: ScenarioConfig):
         raise ConfigError(f"combination-matrix file not found: {exc.filename}")
     except ValueError as exc:
         raise ConfigError(str(exc))
-    report = validate(scenario.network, matrices)
+    report = validate_matrices(scenario.network.topology, matrices)
     if not report.ok:
         raise ConfigError(f"combination matrices failed validation:\n{report}")
     return matrices, adaptive

@@ -24,7 +24,6 @@ from .network import (
     NetworkModel,
     NodeProfile,
     Topology,
-    link_index,
 )
 
 __all__ = [
@@ -74,13 +73,10 @@ def relative_variance_gamma2(topology: Topology, nodes: NodeProfile,
     and the trace of the link noise on exchanged intermediate estimates.
     Entries outside the neighborhood are 0 and must not be consulted.
     """
-    n = topology.n_nodes
     own = (nodes.mu ** 2) * nodes.sigma_v2 * np.einsum("kmm->k", nodes.r_u).real
-    gamma2 = np.zeros((n, n))
-    for k in range(n):
-        gamma2[k, k] = own[k]
-    for p, (l, k) in enumerate(link_index(topology)):
-        gamma2[l, k] = own[l] + np.trace(link_noise.r_psi[p]).real
+    links = topology.link_table()
+    gamma2 = np.diag(own)
+    gamma2[links.src, links.dst] = own[links.src] + np.trace(link_noise.r_psi, axis1=1, axis2=2).real
     return gamma2
 
 
@@ -131,7 +127,7 @@ class AdaptiveWeightState:
     @classmethod
     def initial(cls, topology: Topology, nu) -> "AdaptiveWeightState":
         n = topology.n_nodes
-        links = link_index(topology)
+        links = list(topology.link_table())
         nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), (n,)).copy()
         if np.any(nu_arr <= 0) or np.any(nu_arr > 1):
             raise ValueError("forgetting factor must lie in (0, 1]")
@@ -158,6 +154,8 @@ def adaptive_update(state: AdaptiveWeightState, topology: Topology, k: int,
     (state, column) : updated state (new arrays, input untouched) and the
         length-N weight column a_{.k}, zero off the neighborhood.
     """
+    if not 0 <= k < topology.n_nodes:
+        raise ValueError(f"node {k} is outside 0..{topology.n_nodes - 1}")
     nbrs = topology.neighbors(k)
     if psi_received.shape != (len(nbrs), len(w_prev)):
         raise ValueError(
@@ -169,7 +167,7 @@ def adaptive_update(state: AdaptiveWeightState, topology: Topology, k: int,
         gamma2_link=state.gamma2_link.copy(),
         links=state.links,
     )
-    pos = {lk: p for p, lk in enumerate(state.links)}
+    slot = topology.link_table().slot
     nu_k = state.nu[k]
     sq = np.sum(np.abs(psi_received - w_prev[None, :]) ** 2, axis=1)
     gamma2 = np.empty(len(nbrs))
@@ -178,7 +176,7 @@ def adaptive_update(state: AdaptiveWeightState, topology: Topology, k: int,
             new.gamma2_self[k] = (1.0 - nu_k) * state.gamma2_self[k] + nu_k * sq[j]
             gamma2[j] = new.gamma2_self[k]
         else:
-            p = pos[(int(l), k)]
+            p = slot[l, k]
             new.gamma2_link[p] = (1.0 - nu_k) * state.gamma2_link[p] + nu_k * sq[j]
             gamma2[j] = new.gamma2_link[p]
 

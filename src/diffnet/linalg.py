@@ -2,7 +2,6 @@
 
 Complex vectors use the circular (proper) Gaussian convention: unit-variance
 scalars have independent real and imaginary parts with variance 1/2 each.
-``vec`` stacks columns, so vec(A X B) = (B^T kron A) vec(X) holds.
 """
 
 from __future__ import annotations
@@ -13,12 +12,8 @@ __all__ = [
     "crandn",
     "psd_factor",
     "kron_lift",
-    "vec",
-    "unvec",
     "db10",
     "hermitize",
-    "hermitian_residual",
-    "min_eig_floor",
     "spectral_radius",
 ]
 
@@ -31,7 +26,7 @@ def crandn(gen: np.random.Generator, shape) -> np.ndarray:
 
 
 def psd_factor(r: np.ndarray) -> np.ndarray:
-    """Factor L of a PSD matrix with L @ L^H = r.
+    """Factor L with L @ L^H = r, for a PSD matrix or each one of a (..., M, M) stack.
 
     Eigendecomposition based, so rank-deficient covariances are accepted;
     tiny negative eigenvalues from rounding are clipped to zero.
@@ -39,21 +34,12 @@ def psd_factor(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=complex)
     w, u = np.linalg.eigh(hermitize(r))
     w = np.clip(w, 0.0, None)
-    return u * np.sqrt(w)[None, :]
+    return u * np.sqrt(w)[..., None, :]
 
 
 def kron_lift(a: np.ndarray, m: int) -> np.ndarray:
     """Kronecker lift a -> a kron I_m acting on stacked m-blocks."""
     return np.kron(np.asarray(a), np.eye(m))
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.reshape(x, (-1,), order="F")
-
-
-def unvec(x: np.ndarray, rows: int) -> np.ndarray:
-    return np.reshape(x, (rows, -1), order="F")
 
 
 def db10(x) -> np.ndarray:
@@ -64,21 +50,7 @@ def db10(x) -> np.ndarray:
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
-
-
-def hermitian_residual(x: np.ndarray) -> float:
-    """Relative deviation from Hermitian symmetry."""
-    x = np.asarray(x)
-    scale = max(float(np.linalg.norm(x)), 1.0)
-    return float(np.linalg.norm(x - x.conj().T)) / scale
-
-
-def min_eig_floor(x: np.ndarray) -> float:
-    """Smallest eigenvalue normalized so PSD checks can use a relative floor."""
-    w = np.linalg.eigvalsh(hermitize(np.asarray(x, dtype=complex)))
-    scale = max(float(w[-1]), 1.0)
-    return float(w[0]) / scale
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
 def spectral_radius(x: np.ndarray) -> float:

@@ -10,7 +10,7 @@ vector being estimated (constant, random walk, or phase rotation).
 Link noise lives only on cross links: a node reads its own data perfectly, so
 the (k, k) entries of every link-noise statistic are structurally zero. Link
 statistics are stored as arrays aligned with the canonical directed-link
-ordering produced by :func:`link_index`.
+order, which :meth:`Topology.link_table` defines once for every module.
 
 External JSON files use 1-based node indices and [re, im] pairs for complex
 numbers; in memory everything is 0-based ndarray data.
@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import crandn, hermitian_residual, min_eig_floor
+from .linalg import crandn, hermitize
 
 __all__ = [
     "Topology",
+    "LinkTable",
     "NodeProfile",
     "LinkNoiseProfile",
     "CombinationMatrices",
@@ -36,6 +37,7 @@ __all__ = [
     "VarianceRanges",
     "link_index",
     "validate",
+    "validate_matrices",
     "random_network",
     "network_to_dict",
     "network_from_dict",
@@ -48,6 +50,28 @@ PSD_FLOOR = -1e-10
 STOCHASTIC_TOL = 1e-8
 
 WEIGHT_MODES = ("constant", "random_walk", "rotation")
+
+
+@dataclass(frozen=True)
+class LinkTable:
+    """Directed cross links (sender src[p] -> receiver dst[p]) in canonical order.
+
+    Receivers ascend and, within a receiver, senders ascend, so the in-links
+    of node k occupy positions starts[k]:starts[k + 1]. ``slot`` is the (N, N)
+    lookup slot[l, k] = p of link l -> k, -1 where there is no cross link.
+    Iterating yields the (l, k) pairs.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    starts: np.ndarray
+    slot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self):
+        return zip(self.src.tolist(), self.dst.tolist())
 
 
 @dataclass
@@ -98,20 +122,21 @@ class Topology:
                     stack.append(int(l))
         return bool(seen.all())
 
+    def link_table(self) -> LinkTable:
+        """The canonical directed cross links; self links carry no noise and are excluded.
+
+        Built on every call, so it follows in-place edits of ``adjacency``.
+        """
+        n = self.n_nodes
+        dst, src = np.nonzero(self.adjacency.T & ~np.eye(n, dtype=bool))
+        slot = np.full((n, n), -1)
+        slot[src, dst] = np.arange(len(src))
+        return LinkTable(src=src, dst=dst, starts=np.searchsorted(dst, np.arange(n + 1)), slot=slot)
+
 
 def link_index(topology: Topology) -> list[tuple[int, int]]:
-    """Canonical ordering of directed cross links (sender l -> receiver k).
-
-    Receivers are visited in ascending order and, within a receiver, senders
-    ascend as well, so the list is grouped by receiving node. Self links are
-    excluded; they carry no noise.
-    """
-    out: list[tuple[int, int]] = []
-    for k in range(topology.n_nodes):
-        for l in np.flatnonzero(topology.adjacency[:, k]):
-            if l != k:
-                out.append((int(l), k))
-    return out
+    """Canonical directed cross links as (sender l, receiver k) pairs, grouped by receiver."""
+    return list(topology.link_table())
 
 
 @dataclass
@@ -133,7 +158,7 @@ class NodeProfile:
 class LinkNoiseProfile:
     """Noise statistics for the four exchanged quantities, one row per link.
 
-    Arrays align with :func:`link_index`: r_w and r_psi are (L, M, M)
+    Arrays align with :meth:`Topology.link_table`: r_w and r_psi are (L, M, M)
     covariances of the noise added to exchanged estimates and intermediate
     estimates, sigma_d2 is the (L,) variance on exchanged measurements, and
     r_u_link is the (L, M, M) covariance of the noise on exchanged regressors.
@@ -212,7 +237,7 @@ class NetworkModel:
 
     @property
     def links(self) -> list[tuple[int, int]]:
-        return link_index(self.topology)
+        return list(self.topology.link_table())
 
 
 @dataclass
@@ -232,11 +257,23 @@ class ValidationReport:
         return "\n".join(self.violations)
 
 
-def _check_cov(report, label, mat):
-    if hermitian_residual(mat) > HERMITIAN_TOL:
-        report.add(f"{label} is not Hermitian")
-    elif min_eig_floor(mat) < PSD_FLOOR:
-        report.add(f"{label} is not positive semi-definite")
+def _check_cov(report, label, mats, where=None) -> None:
+    """Report each non-Hermitian or non-PSD matrix of the (K, M, M) stack ``mats``.
+
+    ``where(i)`` names matrix i in front of ``label``; without it the label
+    alone names a single matrix. Both tests are relative to the matrix scale.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    herm = (np.linalg.norm(mats - mats.conj().swapaxes(1, 2), axis=(1, 2))
+            / np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1.0))
+    eig = np.linalg.eigvalsh(hermitize(mats))
+    floor = eig[:, 0] / np.maximum(eig[:, -1], 1.0)
+    for i in range(len(mats)):
+        name = f"{where(i)} {label}" if where else label
+        if herm[i] > HERMITIAN_TOL:
+            report.add(f"{name} is not Hermitian")
+        elif floor[i] < PSD_FLOOR:
+            report.add(f"{name} is not positive semi-definite")
 
 
 def _check_finite(report, label, values, where=None) -> bool:
@@ -282,8 +319,7 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
     if prof.r_u.shape != (n, m, m):
         rep.add(f"r_u has shape {prof.r_u.shape}, expected ({n}, {m}, {m})")
     elif _check_finite(rep, "r_u", prof.r_u, nodes):
-        for k in range(n):
-            _check_cov(rep, f"node {k + 1} regressor covariance", prof.r_u[k])
+        _check_cov(rep, "regressor covariance", prof.r_u, lambda k: f"node {k + 1}")
     if prof.sigma_v2.shape != (n,):
         rep.add(f"sigma_v2 has shape {prof.sigma_v2.shape}, expected ({n},)")
     elif _check_finite(rep, "sigma_v2", prof.sigma_v2, nodes) and np.any(prof.sigma_v2 < 0):
@@ -295,7 +331,7 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         bad = np.flatnonzero(prof.mu <= 0) + 1
         rep.add(f"nodes {bad.tolist()} have non-positive step-size")
 
-    links = link_index(topo)
+    links = topo.link_table()
     ln = network.link_noise
     n_links = len(links)
     shapes = {
@@ -305,8 +341,11 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         "r_psi": (n_links, m, m),
     }
 
+    def link(p):
+        return f"{links.src[p] + 1}->{links.dst[p] + 1}"
+
     def link_names(bad):
-        return "links " + ", ".join(f"{links[p][0] + 1}->{links[p][1] + 1}" for p in bad)
+        return "links " + ", ".join(map(link, bad))
 
     link_noise_ok = True
     for name, want in shapes.items():
@@ -317,11 +356,9 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         elif not _check_finite(rep, f"link_noise.{name}", getattr(ln, name), link_names):
             link_noise_ok = False
     if link_noise_ok:
-        for p, (l, k) in enumerate(links):
-            tag = f"link {l + 1}->{k + 1}"
-            _check_cov(rep, f"{tag} estimate-noise covariance", ln.r_w[p])
-            _check_cov(rep, f"{tag} intermediate-noise covariance", ln.r_psi[p])
-            _check_cov(rep, f"{tag} regressor-noise covariance", ln.r_u_link[p])
+        for label, mats in (("estimate-noise", ln.r_w), ("intermediate-noise", ln.r_psi),
+                            ("regressor-noise", ln.r_u_link)):
+            _check_cov(rep, f"{label} covariance", mats, lambda p: f"link {link(p)}")
         if np.any(ln.sigma_d2 < 0):
             rep.add("negative measurement link-noise variance")
 
@@ -338,7 +375,7 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         elif np.asarray(w.r_eta).shape != (m, m):
             rep.add(f"r_eta has shape {np.asarray(w.r_eta).shape}, expected ({m}, {m})")
         elif _check_finite(rep, "r_eta", [w.r_eta]):
-            _check_cov(rep, "r_eta", w.r_eta)
+            _check_cov(rep, "r_eta", [w.r_eta])
     if w.mode == "rotation":
         if w.omega is None:
             rep.add("rotation mode requires omega")
@@ -346,14 +383,16 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
             _check_finite(rep, "omega", [w.omega])
 
     if matrices is not None:
-        _validate_matrices(rep, topo, matrices)
+        rep.violations += validate_matrices(topo, matrices).violations
     return rep
 
 
-def _validate_matrices(rep: ValidationReport, topo: Topology, mats: CombinationMatrices) -> None:
-    n = topo.n_nodes
-    off_pattern = ~topo.adjacency
-    for name, mat, axis in (("A1", mats.a1, 0), ("C", mats.c, 1), ("A2", mats.a2, 0)):
+def validate_matrices(topology: Topology, matrices: CombinationMatrices) -> ValidationReport:
+    """Check stochasticity and the neighborhood sparsity pattern of (A1, C, A2)."""
+    rep = ValidationReport()
+    n = topology.n_nodes
+    off_pattern = ~topology.adjacency
+    for name, mat, axis in (("A1", matrices.a1, 0), ("C", matrices.c, 1), ("A2", matrices.a2, 0)):
         if mat.shape != (n, n):
             rep.add(f"{name} has shape {mat.shape}, expected ({n}, {n})")
             continue
@@ -365,6 +404,7 @@ def _validate_matrices(rep: ValidationReport, topo: Topology, mats: CombinationM
             rep.add(f"{name} {kind} {idx + 1} sums to {sums[idx]:.4f}")
         if np.any(mat[off_pattern] != 0):
             rep.add(f"{name} has nonzero entries outside the neighborhood pattern")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +486,7 @@ def random_network(seed: int, n_nodes: int, m_dim: int, connectivity: float,
         mu=_uniform(gen, vr.mu, n_nodes),
     )
 
-    links = link_index(topo)
-    n_links = len(links)
+    n_links = len(topo.link_table())
     eye = np.eye(m_dim, dtype=complex)
     ln = LinkNoiseProfile(
         r_w=_uniform(gen, vr.sigma_w2, n_links)[:, None, None] * eye,
@@ -487,12 +526,10 @@ def _pairs_to_complex_vector(pairs) -> np.ndarray:
 def network_to_dict(network: NetworkModel) -> dict:
     topo = network.topology
     m = network.m_dim
-    links = link_index(topo)
-    pos = {lk: p for p, lk in enumerate(links)}
     ln = network.link_noise
 
     link_entries = []
-    for (l, k), p in pos.items():
+    for p, (l, k) in enumerate(topo.link_table()):
         if (np.any(ln.r_w[p]) or ln.sigma_d2[p] != 0
                 or np.any(ln.r_u_link[p]) or np.any(ln.r_psi[p])):
             link_entries.append({
@@ -531,7 +568,14 @@ def network_to_dict(network: NetworkModel) -> dict:
 def network_from_dict(data: dict) -> NetworkModel:
     n = int(data["n_nodes"])
     m = int(data["m_dim"])
-    topo = Topology.from_edges(n, [(l - 1, k - 1) for l, k in data["edges"]])
+
+    def endpoints(entry, l, k):
+        if not (1 <= l <= n and 1 <= k <= n):
+            raise ValueError(f"{entry} names a node outside 1..{n}")
+        return l - 1, k - 1
+
+    topo = Topology.from_edges(n, [endpoints(f"edge [{l}, {k}]", int(l), int(k))
+                                   for l, k in data["edges"]])
 
     node_entries = data["nodes"]
     if len(node_entries) != n:
@@ -543,14 +587,14 @@ def network_from_dict(data: dict) -> NetworkModel:
         mu=np.array([float(e["mu"]) for e in node_entries]),
     )
 
-    links = link_index(topo)
-    pos = {lk: p for p, lk in enumerate(links)}
+    links = topo.link_table()
     ln = LinkNoiseProfile.zeros(len(links), m)
     for entry in data.get("links", []):
-        l, k = int(entry["from"]) - 1, int(entry["to"]) - 1
-        if (l, k) not in pos:
+        l, k = int(entry["from"]), int(entry["to"])
+        l, k = endpoints(f"link entry {l}->{k}", l, k)
+        p = links.slot[l, k]
+        if p < 0:
             raise ValueError(f"link entry {l + 1}->{k + 1} is not an edge of the topology")
-        p = pos[(l, k)]
         ln.r_w[p] = _pairs_to_complex_matrix(entry["r_w"], m)
         ln.sigma_d2[p] = float(entry["sigma_d2"])
         ln.r_u_link[p] = _pairs_to_complex_matrix(entry["r_u_link"], m)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import crandn, db10, psd_factor
-from .network import CombinationMatrices, NetworkModel, NodeProfile, link_index
+from .network import CombinationMatrices, NetworkModel, NodeProfile
 
 __all__ = [
     "RngPolicy",
@@ -168,7 +168,7 @@ def perturb_exchange(streams, network: NetworkModel, payloads: dict, pairs):
     """
     if isinstance(streams, np.random.Generator):
         streams = {s: streams for s in ("w", "psi", "d", "u")}
-    pos = {lk: p for p, lk in enumerate(link_index(network.topology))}
+    slot = network.topology.link_table().slot
     ln = network.link_noise
     m = network.m_dim
     stats = {
@@ -190,7 +190,9 @@ def perturb_exchange(streams, network: NetworkModel, payloads: dict, pairs):
             if l == k:
                 received.append(clean)
                 continue
-            p = pos[(l, k)]
+            p = slot[l, k] if min(l, k) >= 0 else -1
+            if p < 0:
+                raise ValueError(f"pair ({l}, {k}) is not a link of the topology")
             batch = clean.shape[:-1] if kind == "vector" else clean.shape
             if kind == "vector":
                 noise = crandn(streams[source], batch + (m,)) @ psd_factor(stat[p]).conj().T
@@ -209,27 +211,23 @@ class _StepOperator:
     """Precompiled structure for one network/matrices pair."""
 
     def __init__(self, network: NetworkModel, matrices: CombinationMatrices):
-        topo = network.topology
         n, m = network.n_nodes, network.m_dim
-        links = link_index(topo)
+        links = network.topology.link_table()
         self.n, self.m = n, m
-        self.links = links
-        self.src = np.array([l for l, _ in links], dtype=int)
-        self.dst = np.array([k for _, k in links], dtype=int)
+        self.src, self.dst, self.starts = links.src, links.dst, links.starts
         self.mu = network.nodes.mu
         eye = np.eye(n)
-        self.a1, self.c, self.a2 = matrices.a1, matrices.c, matrices.a2
+        self.a1, self.a2 = matrices.a1, matrices.a2
         self.a1_identity = np.array_equal(self.a1, eye)
         self.a2_identity = np.array_equal(self.a2, eye)
         n_links = len(links)
-        a1_link = self.a1[self.src, self.dst] if n_links else np.zeros(0)
-        a2_link = self.a2[self.src, self.dst] if n_links else np.zeros(0)
-        c_link = self.c[self.src, self.dst] if n_links else np.zeros(0)
+        a1_link = self.a1[self.src, self.dst]
+        a2_link = self.a2[self.src, self.dst]
+        c_link = matrices.c[self.src, self.dst]
         self.need_v_w = bool(np.any(a1_link))
         self.need_v_psi_static = bool(np.any(a2_link))
         self.c_cross = bool(np.any(c_link))
-        self.c_link = c_link
-        self.mu_c_diag = (self.mu * np.diag(self.c))[:, None]
+        self.mu_c_diag = (self.mu * np.diag(matrices.c))[:, None]
 
         def scatter(values):
             g = np.zeros((n, n_links))
@@ -238,7 +236,7 @@ class _StepOperator:
 
         self.g1 = scatter(a1_link)
         self.g2 = scatter(a2_link)
-        self.gc = scatter(self.mu[self.dst] * c_link) if n_links else np.zeros((n, 0))
+        self.gc = scatter(self.mu[self.dst] * c_link)
         self.ind = scatter(np.ones(n_links))
 
 
@@ -362,22 +360,18 @@ class _Sampler:
         self.op = op
         self.mode = mode
         self.m = m
-        self.chol_u = np.stack([psd_factor(network.nodes.r_u[k]) for k in range(n)])
+        self.chol_u = psd_factor(network.nodes.r_u)
         self.sig_v = np.sqrt(network.nodes.sigma_v2)
         ln = network.link_noise
-        n_links = len(op.links)
         self.need_w = op.need_v_w and bool(np.any(ln.r_w))
         self.need_psi = (op.need_v_psi_static or adaptive) and bool(np.any(ln.r_psi))
         self.need_d = op.c_cross and bool(np.any(ln.sigma_d2))
         self.need_u_link = op.c_cross and bool(np.any(ln.r_u_link))
-        if n_links:
-            self.chol_w = np.stack([psd_factor(ln.r_w[p]) for p in range(n_links)])
-            self.chol_psi = np.stack([psd_factor(ln.r_psi[p]) for p in range(n_links)])
-            self.chol_u_link = np.stack([psd_factor(ln.r_u_link[p]) for p in range(n_links)])
-            self.sig_d = np.sqrt(ln.sigma_d2)
-        self.n_links = n_links
-        # in-links of node k occupy slots starts[k]:starts[k+1] in link order
-        self.starts = np.searchsorted(op.dst, np.arange(n + 1))
+        self.chol_w = psd_factor(ln.r_w)
+        self.chol_psi = psd_factor(ln.r_psi)
+        self.chol_u_link = psd_factor(ln.r_u_link)
+        self.sig_d = np.sqrt(ln.sigma_d2)
+        self.n_links = len(op.src)
         self.chol_eta = (psd_factor(network.weights.r_eta)
                          if mode == "random_walk" else None)
         self.gens = []
@@ -394,14 +388,15 @@ class _Sampler:
                     g[source] = [policy.stream(run, source, k) for k in range(n)]
             self.gens.append(g)
 
-    def _draw_links(self, source: str, t: int):
-        r = len(self.gens)
-        z = np.zeros((r, t, self.n_links, self.m), dtype=complex)
+    def _draw_links(self, source: str, t: int, tail: tuple) -> np.ndarray:
+        """Standard draws of shape (runs, t, L) + tail; node k's stream fills its in-links."""
+        starts = self.op.starts
+        z = np.zeros((len(self.gens), t, self.n_links) + tail, dtype=complex)
         for i, g in enumerate(self.gens):
             for k, gen in enumerate(g[source]):
-                lo, hi = self.starts[k], self.starts[k + 1]
+                lo, hi = starts[k], starts[k + 1]
                 if hi > lo:
-                    z[i, :, lo:hi, :] = crandn(gen, (t, hi - lo, self.m))
+                    z[i, :, lo:hi] = crandn(gen, (t, hi - lo) + tail)
         return z
 
     def window(self, t: int) -> dict:
@@ -421,34 +416,29 @@ class _Sampler:
         if self.mode == "random_walk":
             zeta = np.stack([crandn(g["eta"], (t, self.m)) for g in self.gens])
             out["eta"] = np.einsum("rtm,pm->rtp", zeta, self.chol_eta.conj())
+        vec = (self.m,)
         if self.need_w:
-            out["v_w"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("w", t),
+            out["v_w"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("w", t, vec),
                                    self.chol_w.conj())
         if self.need_psi:
-            out["v_psi"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("psi", t),
+            out["v_psi"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("psi", t, vec),
                                      self.chol_psi.conj())
         if self.need_d:
-            zd = np.zeros((r, t, self.n_links), dtype=complex)
-            for i, g in enumerate(self.gens):
-                for k in range(self.op.n):
-                    lo, hi = self.starts[k], self.starts[k + 1]
-                    if hi > lo:
-                        zd[i, :, lo:hi] = crandn(g["d"][k], (t, hi - lo))
-            out["v_d"] = zd * self.sig_d
+            out["v_d"] = self._draw_links("d", t, ()) * self.sig_d
         if self.need_u_link:
-            out["v_u"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("u_link", t),
+            out["v_u"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("u_link", t, vec),
                                    self.chol_u_link.conj())
         return out
 
 
-def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
+def _simulate_chunk(network, matrices, op, mode, options, policy, runs, iterations):
     n, m = op.n, op.m
     r = len(runs)
     sampler = _Sampler(network, op, mode, policy, runs,
                        adaptive=options.adaptive_slot is not None)
     nu = options.nu if options.adaptive_slot is not None else None
     state = DiffusionState.initial(n, m, batch=(r,), adaptive_nu=nu,
-                                   n_links=len(op.links))
+                                   n_links=len(op.src))
     w_true = np.tile(np.asarray(network.weights.w0, dtype=complex), (r, 1))
     if mode == "rotation":
         phase = np.exp(1j * network.weights.omega)
@@ -462,7 +452,6 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
     wtrue_traj = (np.empty((r, iterations, m), dtype=complex)
                   if options.record_trajectory else None)
 
-    matrices = CombinationMatrices(a1=op.a1, c=op.c, a2=op.a2)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < iterations:
@@ -531,7 +520,7 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
 
     chunks = [list(range(lo, min(lo + options.chunk_size, runs)))
               for lo in range(0, runs, options.chunk_size)]
-    jobs = (lambda ch: _simulate_chunk(network, op, mode, options, rng_policy,
+    jobs = (lambda ch: _simulate_chunk(network, matrices, op, mode, options, rng_policy,
                                        ch, iterations))
     if options.threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=options.threads) as pool:

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import kron_lift, spectral_radius
-from .network import CombinationMatrices, NetworkModel, link_index
+from .linalg import hermitize, kron_lift, spectral_radius
+from .network import CombinationMatrices, NetworkModel
 
 __all__ = [
     "InstabilityError",
@@ -37,6 +37,7 @@ __all__ = [
     "steady_state_metric",
     "network_msd",
     "network_emse",
+    "network_metrics",
     "series_msd",
     "series_emse",
     "tracking_metrics",
@@ -63,6 +64,13 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _segment_sum(dst: np.ndarray, n: int, terms: np.ndarray) -> np.ndarray:
+    """(n, ...) sums of the per-link ``terms`` over each receiver's in-links."""
+    out = np.zeros((n,) + terms.shape[1:], dtype=complex)
+    np.add.at(out, dst, terms)
+    return out
+
+
 @dataclass
 class MeanDynamics:
     """Mean error recursion  E err_i = b (E err_{i-1}) - a2_lift^T big_m z."""
@@ -83,6 +91,11 @@ class MeanDynamics:
         """Spectral radius of b, computed once per assembly."""
         return spectral_radius(self.b)
 
+    @cached_property
+    def bias_g(self) -> np.ndarray:
+        """Asymptotic mean error (see :func:`bias`), solved once per assembly."""
+        return bias(self)
+
 
 def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
                            w_o: np.ndarray | None = None) -> MeanDynamics:
@@ -92,26 +105,18 @@ def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
     data sharing, link noise included; z stacks the per-node mean drift that
     regressor link noise injects (zero without it).
     """
-    topo = network.topology
     n, m = network.n_nodes, network.m_dim
     if w_o is None:
         w_o = np.asarray(network.weights.w0, dtype=complex)
-    links = link_index(topo)
-    pos = {lk: p for p, lk in enumerate(links)}
+    links = network.topology.link_table()
     c = matrices.c
     r_u = network.nodes.r_u
     r_u_link = network.link_noise.r_u_link
 
-    r_prime = np.zeros((n, m, m), dtype=complex)
-    z_blocks = np.zeros((n, m), dtype=complex)
-    for k in range(n):
-        for l in np.flatnonzero(topo.adjacency[:, k]):
-            coeff = c[l, k]
-            r_prime[k] += coeff * r_u[l]
-            if l != k:
-                noise = r_u_link[pos[(int(l), k)]]
-                r_prime[k] += coeff * noise
-                z_blocks[k] -= coeff * (noise @ w_o)
+    coeff = c[links.src, links.dst]
+    r_prime = np.diagonal(c)[:, None, None] * r_u + _segment_sum(
+        links.dst, n, coeff[:, None, None] * (r_u[links.src] + r_u_link))
+    z_blocks = _segment_sum(links.dst, n, -coeff[:, None] * (r_u_link @ w_o))
 
     big_m = np.kron(np.diag(network.nodes.mu), np.eye(m))
     a1_lift = kron_lift(matrices.a1, m)
@@ -156,38 +161,32 @@ class StepSizeBounds:
         return None if self.robust is None else self.mu < self.robust
 
 
-def _lambda_max(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
+def _lambda_max(mats: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of the Hermitian part of each matrix in a (K, M, M) stack."""
+    return np.linalg.eigvalsh(hermitize(mats))[:, -1]
 
 
-def _safe_bound(lam: float) -> float:
-    return 2.0 / lam if lam > 0 else np.inf
+def _safe_bound(lam: np.ndarray) -> np.ndarray:
+    """2 / lam per entry, inf where lam is not positive."""
+    out = np.full(lam.shape, np.inf)
+    return np.divide(2.0, lam, out=out, where=lam > 0)
 
 
 def step_size_bounds(network: NetworkModel, matrices: CombinationMatrices,
                      mean_dynamics: MeanDynamics | None = None) -> StepSizeBounds:
-    topo = network.topology
-    n = network.n_nodes
     md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
-    links = link_index(topo)
-    pos = {lk: p for p, lk in enumerate(links)}
+    links = network.topology.link_table()
     r_u = network.nodes.r_u
-    r_u_link = network.link_noise.r_u_link
 
-    tight = np.array([_safe_bound(_lambda_max(md.r_prime[k])) for k in range(n)])
-    robust = np.empty(n)
-    noise_free = np.empty(n)
-    for k in range(n):
-        lam_noisy, lam_clean = 0.0, 0.0
-        for l in np.flatnonzero(topo.adjacency[:, k]):
-            clean = _lambda_max(r_u[l])
-            lam_clean = max(lam_clean, clean)
-            if l == k:
-                lam_noisy = max(lam_noisy, clean)
-            else:
-                lam_noisy = max(lam_noisy, _lambda_max(r_u[l] + r_u_link[pos[(int(l), k)]]))
-        robust[k] = _safe_bound(lam_noisy)
-        noise_free[k] = _safe_bound(lam_clean)
+    # largest eigenvalue over each neighborhood, self included, never below 0
+    lam_own = np.maximum(_lambda_max(r_u), 0.0)
+    lam_clean = lam_own.copy()
+    np.maximum.at(lam_clean, links.dst, lam_own[links.src])
+    lam_noisy = lam_own.copy()
+    np.maximum.at(lam_noisy, links.dst, _lambda_max(r_u[links.src] + network.link_noise.r_u_link))
+    tight = _safe_bound(_lambda_max(md.r_prime))
+    robust = _safe_bound(lam_noisy)
+    noise_free = _safe_bound(lam_clean)
 
     c = matrices.c
     doubly = (
@@ -226,41 +225,33 @@ class NoiseMoments:
 def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
                            mean_dynamics: MeanDynamics | None = None) -> NoiseMoments:
     md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
-    topo = network.topology
-    n, m = network.n_nodes, network.m_dim
-    links = link_index(topo)
+    n = network.n_nodes
+    links = network.topology.link_table()
+    src, dst = links.src, links.dst
     ln = network.link_noise
     r_u = network.nodes.r_u
     sigma_v2 = network.nodes.sigma_v2
     w_o = md.w_o
-    c = matrices.c
 
     s = _block_diag(sigma_v2[:, None, None] * r_u)
 
-    t_blocks = np.zeros((n, m, m), dtype=complex)
-    rvw_blocks = np.zeros((n, m, m), dtype=complex)
-    rvpsi_blocks = np.zeros((n, m, m), dtype=complex)
-    for p, (l, k) in enumerate(links):
-        sd2 = ln.sigma_d2[p]
-        ru_noise = ln.r_u_link[p]
-        quad = float((w_o.conj() @ ru_noise @ w_o).real)
-        t_blocks[k] += c[l, k] ** 2 * (
-            (sigma_v2[l] + sd2) * ru_noise + (sd2 + quad) * r_u[l]
-        )
-        rvw_blocks[k] += matrices.a1[l, k] ** 2 * ln.r_w[p]
-        rvpsi_blocks[k] += matrices.a2[l, k] ** 2 * ln.r_psi[p]
+    def link_sum(mat, per_link):
+        """Block-diagonal sum over in-links of mat[l, k]^2 * per_link[p]."""
+        return _block_diag(_segment_sum(dst, n, (mat[src, dst] ** 2)[:, None, None] * per_link))
 
-    t = _block_diag(t_blocks)
-    r_v_w = _block_diag(rvw_blocks)
-    r_v_psi = _block_diag(rvpsi_blocks)
+    sd2 = ln.sigma_d2[:, None, None]
+    quad = np.einsum("m,pmq,q->p", w_o.conj(), ln.r_u_link, w_o).real[:, None, None]
+    t = link_sum(matrices.c, (sigma_v2[src, None, None] + sd2) * ln.r_u_link
+                 + (sd2 + quad) * r_u[src])
+    r_v_w = link_sum(matrices.a1, ln.r_w)
+    r_v_psi = link_sum(matrices.a2, ln.r_psi)
     zz = np.outer(md.z, md.z.conj())
     r_z = md.c_lift.T @ s @ md.c_lift + t + zz
 
     a2t = md.a2_lift.T
     r_v = a2t @ r_v_w @ md.a2_lift + r_v_psi + a2t @ md.big_m @ (t + zz) @ md.big_m @ md.a2_lift
 
-    g = bias(md)
-    y = -a2t @ md.a1_lift.T @ np.outer(g, md.z.conj()) @ md.big_m @ md.a2_lift
+    y = -a2t @ md.a1_lift.T @ np.outer(md.bias_g, md.z.conj()) @ md.big_m @ md.a2_lift
     return NoiseMoments(s=s, t=t, r_z=r_z, r_v=r_v, y=y, r_v_w=r_v_w, r_v_psi=r_v_psi)
 
 
@@ -629,7 +620,7 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
 
     bias_g = None
     try:
-        bias_g = bias(md)
+        bias_g = md.bias_g
     except np.linalg.LinAlgError:
         warnings.append("bias solve failed: mean recursion is singular")
 

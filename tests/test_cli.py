@@ -195,6 +195,14 @@ class TestTheory:
                              rules={"a2": "adaptive"})
         assert main(["theory", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_edge_outside_the_network_is_config_error(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, random_network(3, 4, 2, 0.6, NOISY_RANGES))
+        data = json.loads((tmp_path / "net.json").read_text())
+        data["edges"].append([5, 2])
+        (tmp_path / "net.json").write_text(json.dumps(data))
+        assert main(["theory", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "edge [5, 2]" in capsys.readouterr().err
+
     def test_tracking_report_for_random_walk_target(self, tmp_path):
         net = random_network(6, 4, 2, 0.6, NOISY_RANGES)
         net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,

@@ -230,6 +230,14 @@ class TestAdaptiveRule:
         assert col[2] == 0.0
         assert col.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_node_outside_the_network_rejected(self, k):
+        topo = chain3()
+        state = AdaptiveWeightState.initial(topo, 0.1)
+        psi = np.ones((2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="outside"):
+            adaptive_update(state, topo, k, psi, np.zeros(2, dtype=complex))
+
     def test_shape_mismatch_rejected(self):
         topo = chain3()
         state = AdaptiveWeightState.initial(topo, 0.1)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffnet.network import (
     CombinationMatrices,
@@ -70,6 +72,48 @@ def test_link_index_groups_by_receiver():
 def test_link_index_excludes_self_links():
     topo = Topology.from_edges(2, [(0, 1)])
     assert link_index(topo) == [(1, 0), (0, 1)]
+
+
+def loop_link_index(adjacency):
+    """The canonical link order as a plain loop: receivers ascend, then senders."""
+    n = len(adjacency)
+    return [(l, k) for k in range(n) for l in range(n) if l != k and adjacency[l, k]]
+
+
+@st.composite
+def symmetric_adjacency(draw):
+    n = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(bits, dtype=bool).reshape(n, n), k=1)
+    return upper | upper.T | np.eye(n, dtype=bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_adjacency())
+def test_link_table_matches_loop_order_and_survives_json(adj):
+    n = len(adj)
+    topo = Topology(n, adj)
+    table = topo.link_table()
+    want = loop_link_index(adj)
+    assert list(table) == want and link_index(topo) == want
+    assert table.starts[0] == 0 and table.starts[-1] == len(want)
+    for k in range(n):
+        assert np.all(table.dst[table.starts[k]:table.starts[k + 1]] == k)
+    expected_slot = np.full((n, n), -1)
+    for p, (l, k) in enumerate(want):
+        expected_slot[l, k] = p
+    assert np.array_equal(table.slot, expected_slot)
+
+    # every link-noise row is distinct, so a row landing on another link shows
+    net = make_network(topo)
+    scale = 1.0 + np.arange(len(want))
+    eye = np.eye(2, dtype=complex)
+    net.link_noise = LinkNoiseProfile(r_w=scale[:, None, None] * eye, sigma_d2=2.0 * scale,
+                                      r_u_link=3.0 * scale[:, None, None] * eye,
+                                      r_psi=4.0 * scale[:, None, None] * eye)
+    back = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+    for field in ("r_w", "sigma_d2", "r_u_link", "r_psi"):
+        assert np.array_equal(getattr(back.link_noise, field), getattr(net.link_noise, field))
 
 
 class TestValidate:
@@ -295,6 +339,23 @@ class TestJsonRoundTrip:
             "r_u_link": [[0.0, 0.0]] * 4, "r_psi": [[0.0, 0.0]] * 4,
         }]
         with pytest.raises(ValueError, match="not an edge"):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize("edge", [[0, 1], [5, 2], [2, -1]])
+    def test_edge_endpoint_outside_the_network_rejected(self, edge):
+        data = network_to_dict(make_network(chain3()))
+        data["edges"].append(edge)
+        with pytest.raises(ValueError, match=rf"edge \[{edge[0]}, {edge[1]}\].*outside 1\.\.3"):
+            network_from_dict(data)
+
+    def test_link_entry_endpoint_outside_the_network_rejected(self):
+        data = network_to_dict(make_network(chain3()))
+        data["links"] = [{
+            "from": 0, "to": 2,  # node 0 would wrap around to node 3, an edge of 2
+            "r_w": [[0.0, 0.0]] * 4, "sigma_d2": 0.0,
+            "r_u_link": [[0.0, 0.0]] * 4, "r_psi": [[0.0, 0.0]] * 4,
+        }]
+        with pytest.raises(ValueError, match=r"link entry 0->2.*outside 1\.\.3"):
             network_from_dict(data)
 
     def test_unknown_mode_rejected(self):

@@ -158,6 +158,13 @@ class TestPerturbExchange:
         # same seed, same covariance family on this link, so draws line up
         assert out["w"].shape == out["psi"].shape
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1)])
+    def test_negative_node_index_rejected(self, pair):
+        net = noisy_pair_network()
+        w = np.zeros((4, 2), dtype=complex)
+        with pytest.raises(ValueError, match="not a link"):
+            perturb_exchange(np.random.default_rng(0), net, {"w": w}, [pair])
+
 
 def reference_step(net, mats, w_prev, data):
     """Plain-loop transcription of the three combine/adapt/combine steps."""

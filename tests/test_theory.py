@@ -454,7 +454,7 @@ class TestTheoryReport:
         net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
                                        r_eta=1e-5 * np.eye(2, dtype=complex))
         mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
-        calls = {"mean": 0, "noise": 0, "radius": 0}
+        calls = {"mean": 0, "noise": 0, "radius": 0, "bias": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -467,9 +467,10 @@ class TestTheoryReport:
         monkeypatch.setattr(theory, "assemble_noise_moments",
                             counted("noise", theory.assemble_noise_moments))
         monkeypatch.setattr(theory, "spectral_radius", counted("radius", theory.spectral_radius))
+        monkeypatch.setattr(theory, "bias", counted("bias", theory.bias))
         report = theory_report(net, mats)
         assert report.msd_track is not None
-        assert calls == {"mean": 1, "noise": 1, "radius": 1}
+        assert calls == {"mean": 1, "noise": 1, "radius": 1, "bias": 1}
 
     def test_stable_scalar_report(self):
         net = scalar_network(mu=0.01)
@@ -518,3 +519,19 @@ class TestTheoryReport:
         out = theory_report(net, mats).to_dict()
         assert out["msd_track_db"] > out["msd_db"]
         assert out["emse_track_db"] > out["emse_db"]
+
+
+def test_package_root_names_are_in_submodule_all():
+    import ast
+    import importlib
+    from pathlib import Path
+
+    import diffnet
+
+    tree = ast.parse(Path(diffnet.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"diffnet.{node.module}")
+        missing = [a.name for a in node.names if a.name not in module.__all__]
+        assert not missing, f"diffnet.{node.module}.__all__ lacks {missing}"
