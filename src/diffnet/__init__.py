@@ -6,8 +6,6 @@ exchange estimates, intermediate estimates, and raw data over noisy links.
 """
 
 from .combine import (
-    AdaptiveWeightState,
-    adaptive_update,
     matrices_from_rules,
     metropolis,
     relative_variance,
@@ -25,7 +23,6 @@ from .network import (
     ValidationReport,
     VarianceRanges,
     WeightTrajectory,
-    link_index,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -40,11 +37,10 @@ from .simulate import (
     RngPolicy,
     SimulationOptions,
     StepData,
+    StepOperator,
     curve_to_csv,
     diffusion_step,
-    perturb_exchange,
     run_monte_carlo,
-    sample_data,
     steady_state_level,
     trajectory_to_csv,
 )
@@ -60,13 +56,10 @@ from .theory import (
     assemble_noise_moments,
     bias,
     block_max_norm,
-    network_emse,
     network_metrics,
-    network_msd,
     series_emse,
     series_msd,
     stability_report,
-    steady_state_metric,
     step_size_bounds,
     theory_report,
     tracking_metrics,

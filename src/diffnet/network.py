@@ -35,7 +35,6 @@ __all__ = [
     "NetworkModel",
     "ValidationReport",
     "VarianceRanges",
-    "link_index",
     "validate",
     "validate_matrices",
     "random_network",
@@ -90,6 +89,8 @@ class Topology:
         """Build from a list of undirected cross pairs (0-based)."""
         adj = np.eye(n_nodes, dtype=bool)
         for l, k in edges:
+            if not (0 <= l < n_nodes and 0 <= k < n_nodes):
+                raise ValueError(f"edge ({l}, {k}) names a node outside 0..{n_nodes - 1}")
             adj[l, k] = True
             adj[k, l] = True
         return cls(n_nodes=n_nodes, adjacency=adj)
@@ -134,11 +135,6 @@ class Topology:
         return LinkTable(src=src, dst=dst, starts=np.searchsorted(dst, np.arange(n + 1)), slot=slot)
 
 
-def link_index(topology: Topology) -> list[tuple[int, int]]:
-    """Canonical directed cross links as (sender l, receiver k) pairs, grouped by receiver."""
-    return list(topology.link_table())
-
-
 @dataclass
 class NodeProfile:
     """Per-node signal statistics and step-sizes.
@@ -176,14 +172,6 @@ class LinkNoiseProfile:
             sigma_d2=np.zeros(n_links),
             r_u_link=np.zeros((n_links, m_dim, m_dim), dtype=complex),
             r_psi=np.zeros((n_links, m_dim, m_dim), dtype=complex),
-        )
-
-    def is_zero(self) -> bool:
-        return (
-            not np.any(self.r_w)
-            and not np.any(self.sigma_d2)
-            and not np.any(self.r_u_link)
-            and not np.any(self.r_psi)
         )
 
 
@@ -565,17 +553,27 @@ def network_to_dict(network: NetworkModel) -> dict:
     }
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number."""
+    try:
+        if float(value).is_integer():
+            return int(float(value))
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
 def network_from_dict(data: dict) -> NetworkModel:
-    n = int(data["n_nodes"])
-    m = int(data["m_dim"])
+    n = _whole(data["n_nodes"], "n_nodes")
+    m = _whole(data["m_dim"], "m_dim")
 
     def endpoints(entry, l, k):
+        l, k = _whole(l, f"{entry} endpoint"), _whole(k, f"{entry} endpoint")
         if not (1 <= l <= n and 1 <= k <= n):
             raise ValueError(f"{entry} names a node outside 1..{n}")
         return l - 1, k - 1
 
-    topo = Topology.from_edges(n, [endpoints(f"edge [{l}, {k}]", int(l), int(k))
-                                   for l, k in data["edges"]])
+    topo = Topology.from_edges(n, [endpoints(f"edge [{l}, {k}]", l, k) for l, k in data["edges"]])
 
     node_entries = data["nodes"]
     if len(node_entries) != n:
@@ -590,7 +588,7 @@ def network_from_dict(data: dict) -> NetworkModel:
     links = topo.link_table()
     ln = LinkNoiseProfile.zeros(len(links), m)
     for entry in data.get("links", []):
-        l, k = int(entry["from"]), int(entry["to"])
+        l, k = entry["from"], entry["to"]
         l, k = endpoints(f"link entry {l}->{k}", l, k)
         p = links.slot[l, k]
         if p < 0:

@@ -10,7 +10,8 @@ measurements, regressors) act only on cross links.
 Reproducibility contract: every (run, node, noise-source) triple owns an
 independent RNG stream derived from the master seed, link noise being owned
 by the receiving node. Curves are bit-identical for a fixed master seed
-regardless of the thread count; runs are reduced in run-index order.
+regardless of the thread count; runs are reduced in run-index order. Noise
+is drawn in fixed windows of ``WINDOW`` iterations per stream.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import crandn, db10, psd_factor
-from .network import CombinationMatrices, NetworkModel, NodeProfile
+from .network import CombinationMatrices, NetworkModel
 
 __all__ = [
     "RngPolicy",
@@ -35,8 +36,7 @@ __all__ = [
     "AdaptiveArrays",
     "DiffusionState",
     "LearningCurve",
-    "sample_data",
-    "perturb_exchange",
+    "StepOperator",
     "diffusion_step",
     "run_monte_carlo",
     "steady_state_level",
@@ -47,6 +47,9 @@ __all__ = [
 _SOURCE_IDS = {"u": 0, "v": 1, "eta": 2, "w": 3, "psi": 4, "d": 5, "u_link": 6}
 
 _MODES = ("stationary", "random_walk", "rotation")
+
+WINDOW = 256  # iterations of noise drawn per batch; part of the realization
+DIVERGENCE_THRESHOLD = 1e12  # squared node error above which a run counts as divergent
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,8 @@ class SimulationOptions:
     nu: float = 0.05
     record_mean_error: bool = False
     record_trajectory: bool = False
-    divergence_threshold: float = 1e12
     threads: int = 1
     chunk_size: int = 16
-    window: int = 256
 
 
 @dataclass
@@ -130,8 +131,8 @@ class DiffusionState:
         adaptive = None
         if adaptive_nu is not None:
             nu = np.broadcast_to(np.asarray(adaptive_nu, dtype=float), (n_nodes,)).copy()
-            if np.any(nu <= 0) or np.any(nu >= 1):
-                raise ValueError("engine forgetting factor must lie in (0, 1)")
+            if not np.all((0 < nu) & (nu < 1)):
+                raise ValueError(f"engine forgetting factor nu must lie in (0, 1), got {adaptive_nu}")
             adaptive = AdaptiveArrays(
                 nu=nu,
                 gamma2_self=np.ones(batch + (n_nodes,)),
@@ -141,74 +142,11 @@ class DiffusionState:
 
 
 # ---------------------------------------------------------------------------
-# data sampling ops
-
-
-def sample_data(stream: np.random.Generator, nodes: NodeProfile, node: int,
-                w_true: np.ndarray):
-    """Draw one (d, u, v) triple for a node: d = u w_true + v.
-
-    The regressor is drawn first, then the measurement noise, both circular
-    complex Gaussian with the node's statistics.
-    """
-    factor = psd_factor(nodes.r_u[node])
-    u = crandn(stream, (nodes.m_dim,)) @ factor.conj().T
-    v = complex(crandn(stream, ()) * np.sqrt(nodes.sigma_v2[node]))
-    d = complex(u @ np.asarray(w_true, dtype=complex)) + v
-    return d, u, v
-
-
-def perturb_exchange(streams, network: NetworkModel, payloads: dict, pairs):
-    """Apply link noise to exchanged payloads for the given directed pairs.
-
-    ``streams`` is a Generator or a mapping from source name ("w", "psi",
-    "d", "u") to Generators. ``payloads`` maps source names to per-node
-    arrays; batch dimensions may precede the node axis. Self pairs (k, k)
-    pass through unperturbed. Returns {source: (..., P, ...) received}.
-    """
-    if isinstance(streams, np.random.Generator):
-        streams = {s: streams for s in ("w", "psi", "d", "u")}
-    slot = network.topology.link_table().slot
-    ln = network.link_noise
-    m = network.m_dim
-    stats = {
-        "w": ("vector", ln.r_w),
-        "psi": ("vector", ln.r_psi),
-        "d": ("scalar", ln.sigma_d2),
-        "u": ("vector", ln.r_u_link),
-    }
-    out = {}
-    for source in ("w", "psi", "d", "u"):
-        if source not in payloads:
-            continue
-        arr = np.asarray(payloads[source], dtype=complex)
-        kind, stat = stats[source]
-        node_axis = -2 if kind == "vector" else -1
-        received = []
-        for l, k in pairs:
-            clean = np.take(arr, l, axis=node_axis)
-            if l == k:
-                received.append(clean)
-                continue
-            p = slot[l, k] if min(l, k) >= 0 else -1
-            if p < 0:
-                raise ValueError(f"pair ({l}, {k}) is not a link of the topology")
-            batch = clean.shape[:-1] if kind == "vector" else clean.shape
-            if kind == "vector":
-                noise = crandn(streams[source], batch + (m,)) @ psd_factor(stat[p]).conj().T
-            else:
-                noise = crandn(streams[source], batch) * np.sqrt(stat[p])
-            received.append(clean + noise)
-        out[source] = np.stack(received, axis=node_axis if kind == "vector" else -1)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the recursion
 
 
-class _StepOperator:
-    """Precompiled structure for one network/matrices pair."""
+class StepOperator:
+    """Precompiled structure for one network/matrices pair, built once per simulation."""
 
     def __init__(self, network: NetworkModel, matrices: CombinationMatrices):
         n, m = network.n_nodes, network.m_dim
@@ -240,9 +178,8 @@ class _StepOperator:
         self.ind = scatter(np.ones(n_links))
 
 
-def diffusion_step(state: DiffusionState, network: NetworkModel,
-                   matrices: CombinationMatrices, data: StepData,
-                   operator: _StepOperator | None = None) -> DiffusionState:
+def diffusion_step(state: DiffusionState, operator: StepOperator,
+                   data: StepData) -> DiffusionState:
     """Advance the three-step recursion by one iteration.
 
     Runs combine (received estimates), adapt (received data pairs), combine
@@ -251,7 +188,7 @@ def diffusion_step(state: DiffusionState, network: NetworkModel,
     received intermediate estimates; otherwise the static matrices apply.
     Returns a new state carrying w, phi, psi, and the updated adaptive state.
     """
-    op = operator if operator is not None else _StepOperator(network, matrices)
+    op = operator
     w = state.w
     u = data.u
     wt = np.asarray(data.w_true, dtype=complex)
@@ -354,7 +291,7 @@ def _resolve_mode(network: NetworkModel, options: SimulationOptions) -> str:
 class _Sampler:
     """Window-sized noise draws for a chunk of runs, per-stream bulk draws."""
 
-    def __init__(self, network: NetworkModel, op: _StepOperator, mode: str,
+    def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
                  policy: RngPolicy, runs: list[int], adaptive: bool):
         n, m = op.n, op.m
         self.op = op
@@ -431,7 +368,7 @@ class _Sampler:
         return out
 
 
-def _simulate_chunk(network, matrices, op, mode, options, policy, runs, iterations):
+def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
     n, m = op.n, op.m
     r = len(runs)
     sampler = _Sampler(network, op, mode, policy, runs,
@@ -455,7 +392,7 @@ def _simulate_chunk(network, matrices, op, mode, options, policy, runs, iteratio
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < iterations:
-            t_win = min(options.window, iterations - done)
+            t_win = min(WINDOW, iterations - done)
             draws = sampler.window(t_win)
             for t in range(t_win):
                 i = done + t
@@ -477,12 +414,12 @@ def _simulate_chunk(network, matrices, op, mode, options, policy, runs, iteratio
                     v_d=draws["v_d"][:, t] if "v_d" in draws else None,
                     v_u=draws["v_u"][:, t] if "v_u" in draws else None,
                 )
-                state = diffusion_step(state, network, matrices, data, operator=op)
+                state = diffusion_step(state, op, data)
                 err = w_true[:, None, :] - state.w
                 err2 = np.sum(np.abs(err) ** 2, axis=-1)
                 msd[:, i] = np.mean(err2, axis=1)
                 node_max = np.max(err2, axis=1)
-                bad |= ~np.isfinite(node_max) | (node_max > options.divergence_threshold)
+                bad |= ~np.isfinite(node_max) | (node_max > DIVERGENCE_THRESHOLD)
                 if err_traj is not None:
                     err_traj[:, i] = err
                 if wbar is not None:
@@ -509,19 +446,16 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
         raise ValueError("runs must be at least 1")
     if options.adaptive_slot not in (None, "a2"):
         raise ValueError("adaptive_slot must be None or 'a2'")
-    for name in ("window", "chunk_size", "threads"):
+    for name in ("chunk_size", "threads"):
         if getattr(options, name) < 1:
             raise ValueError(f"{name} must be at least 1")
-    if not (np.isfinite(options.divergence_threshold) and options.divergence_threshold > 0):
-        raise ValueError("divergence_threshold must be finite and positive")
     mode = _resolve_mode(network, options)
-    op = _StepOperator(network, matrices)
+    op = StepOperator(network, matrices)
     n, m = op.n, op.m
 
     chunks = [list(range(lo, min(lo + options.chunk_size, runs)))
               for lo in range(0, runs, options.chunk_size)]
-    jobs = (lambda ch: _simulate_chunk(network, matrices, op, mode, options, rng_policy,
-                                       ch, iterations))
+    jobs = (lambda ch: _simulate_chunk(network, op, mode, options, rng_policy, ch, iterations))
     if options.threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
             results = pool.map(jobs, chunks)
@@ -542,18 +476,16 @@ def _reduce(results, runs, iterations, n, m, options) -> LearningCurve:
     msd = msd_all[valid].mean(axis=0)
     emse = emse_all[valid].mean(axis=0)
 
+    def valid_rows(key):
+        """The non-divergent runs' recordings in run order; a sum over axis 0
+        adds them run by run, so it does not depend on the chunking."""
+        return np.concatenate([r[key][~r["bad"]] for r in results])
+
     mean_error = mean_error_stderr = None
     if options.record_mean_error:
-        sum_err = np.zeros((iterations, n, m), dtype=complex)
-        sum_sq = np.zeros((iterations, n, m))
-        offset = 0
-        for res in results:
-            err = res["err"]
-            for j in range(err.shape[0]):
-                if valid[offset + j]:
-                    sum_err += err[j]
-                    sum_sq += np.abs(err[j]) ** 2
-            offset += err.shape[0]
+        err = valid_rows("err")
+        sum_err = err.sum(axis=0)
+        sum_sq = (np.abs(err) ** 2).sum(axis=0)
         mean = sum_err / n_valid
         if n_valid > 1:
             var = (sum_sq - np.abs(sum_err) ** 2 / n_valid) / (n_valid - 1)
@@ -565,17 +497,8 @@ def _reduce(results, runs, iterations, n, m, options) -> LearningCurve:
 
     avg_estimate = avg_target = None
     if options.record_trajectory:
-        sum_wbar = np.zeros((iterations, m), dtype=complex)
-        sum_wtrue = np.zeros((iterations, m), dtype=complex)
-        offset = 0
-        for res in results:
-            for j in range(res["wbar"].shape[0]):
-                if valid[offset + j]:
-                    sum_wbar += res["wbar"][j]
-                    sum_wtrue += res["wtrue"][j]
-            offset += res["wbar"].shape[0]
-        avg_estimate = sum_wbar / n_valid
-        avg_target = sum_wtrue / n_valid
+        avg_estimate = valid_rows("wbar").sum(axis=0) / n_valid
+        avg_target = valid_rows("wtrue").sum(axis=0) / n_valid
 
     return LearningCurve(msd=msd, emse=emse, runs=runs,
                          divergent_runs=runs - n_valid,

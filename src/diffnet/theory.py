@@ -34,9 +34,6 @@ __all__ = [
     "bias",
     "step_size_bounds",
     "assemble_noise_moments",
-    "steady_state_metric",
-    "network_msd",
-    "network_emse",
     "network_metrics",
     "series_msd",
     "series_emse",
@@ -204,22 +201,16 @@ class NoiseMoments:
     """Second-order moments of the aggregated perturbations.
 
     s: block-diagonal gradient-noise covariance from own measurements.
-    t: block-diagonal extra covariance from sharing noisy data.
-    r_z: covariance of the adapt-step noise vector (shared data included).
-    r_v: covariance of all additive terms entering the error recursion.
+    r_v: covariance of all additive terms entering the error recursion: link
+       noise on exchanged estimates and intermediate estimates, the extra
+       covariance from sharing noisy data, and the regressor-noise drift.
     y: cross-moment between the error and the additive noise (zero without
        regressor link noise).
-    r_v_w / r_v_psi: block-diagonal link-noise aggregates for the two
-       combine steps (kept for the simplified assembly path).
     """
 
     s: np.ndarray
-    t: np.ndarray
-    r_z: np.ndarray
     r_v: np.ndarray
     y: np.ndarray
-    r_v_w: np.ndarray
-    r_v_psi: np.ndarray
 
 
 def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
@@ -246,13 +237,12 @@ def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
     r_v_w = link_sum(matrices.a1, ln.r_w)
     r_v_psi = link_sum(matrices.a2, ln.r_psi)
     zz = np.outer(md.z, md.z.conj())
-    r_z = md.c_lift.T @ s @ md.c_lift + t + zz
 
     a2t = md.a2_lift.T
     r_v = a2t @ r_v_w @ md.a2_lift + r_v_psi + a2t @ md.big_m @ (t + zz) @ md.big_m @ md.a2_lift
 
     y = -a2t @ md.a1_lift.T @ np.outer(md.bias_g, md.z.conj()) @ md.big_m @ md.a2_lift
-    return NoiseMoments(s=s, t=t, r_z=r_z, r_v=r_v, y=y, r_v_w=r_v_w, r_v_psi=r_v_psi)
+    return NoiseMoments(s=s, r_v=r_v, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +253,6 @@ def _general_numerator(md: MeanDynamics, nm: NoiseMoments) -> np.ndarray:
     a2t = md.a2_lift.T
     core = a2t @ md.big_m @ md.c_lift.T @ nm.s @ md.c_lift @ md.big_m @ md.a2_lift
     return core + nm.r_v + nm.y + nm.y.conj().T
-
-
-def _simplified_numerator(md: MeanDynamics, nm: NoiseMoments) -> np.ndarray:
-    a2t = md.a2_lift.T
-    return a2t @ (md.big_m @ nm.s @ md.big_m + nm.r_v_w) @ md.a2_lift + nm.r_v_psi
 
 
 def _check_real(value: complex, context: str) -> float:
@@ -321,47 +306,18 @@ def _steady_state_values(md: MeanDynamics, numerators, omegas) -> list[list[floa
              for omega in omegas] for x in xs]
 
 
-def steady_state_metric(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
-                        omega: np.ndarray) -> float:
-    """Steady-state weighted error power for an arbitrary PSD weighting."""
-    num = _general_numerator(mean_dynamics, noise_moments)
-    return _steady_state_values(mean_dynamics, [num], [omega])[0][0]
-
-
 def _omegas(network: NetworkModel) -> list[np.ndarray]:
     """The network MSD and EMSE weightings, in that order."""
     n = network.n_nodes
     return [np.eye(n * network.m_dim) / n, _block_diag(network.nodes.r_u) / n]
 
 
-def _require_identity_c(matrices: CombinationMatrices) -> None:
-    n = matrices.c.shape[0]
-    if not np.allclose(matrices.c, np.eye(n), atol=1e-14):
-        raise ValueError("the simplified path requires the data-sharing matrix to be identity")
-
-
-def network_metrics(network: NetworkModel, matrices: CombinationMatrices,
-                    simplified: bool = False) -> tuple[float, float]:
+def network_metrics(network: NetworkModel, matrices: CombinationMatrices) -> tuple[float, float]:
     """(MSD, EMSE) in linear scale, one Stein solve for both."""
     md = assemble_mean_dynamics(network, matrices)
-    nm = assemble_noise_moments(network, matrices, md)
-    if simplified:
-        _require_identity_c(matrices)
-        num = _simplified_numerator(md, nm)
-    else:
-        num = _general_numerator(md, nm)
+    num = _general_numerator(md, assemble_noise_moments(network, matrices, md))
     msd, emse = _steady_state_values(md, [num], _omegas(network))[0]
     return msd, emse
-
-
-def network_msd(network: NetworkModel, matrices: CombinationMatrices,
-                simplified: bool = False) -> float:
-    return network_metrics(network, matrices, simplified)[0]
-
-
-def network_emse(network: NetworkModel, matrices: CombinationMatrices,
-                 simplified: bool = False) -> float:
-    return network_metrics(network, matrices, simplified)[1]
 
 
 def series_msd(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,

@@ -16,7 +16,6 @@ from diffnet.network import (
     Topology,
     VarianceRanges,
     WeightTrajectory,
-    link_index,
     random_network,
 )
 from diffnet.simulate import (
@@ -24,6 +23,7 @@ from diffnet.simulate import (
     RngPolicy,
     SimulationOptions,
     StepData,
+    StepOperator,
     diffusion_step,
     run_monte_carlo,
     steady_state_level,
@@ -184,7 +184,7 @@ def literal_step(net, mats, w_prev, data):
     """The three-step recursion written as plain per-node loops."""
     topo = net.topology
     n, m = net.n_nodes, net.m_dim
-    pos = {lk: p for p, lk in enumerate(link_index(topo))}
+    pos = {lk: p for p, lk in enumerate(net.links)}
     mu = net.nodes.mu
     wt = np.asarray(data.w_true, dtype=complex)
     d = [complex(data.u[l] @ wt) + data.v[l] for l in range(n)]
@@ -233,6 +233,7 @@ def test_criterion_5_single_step_error_identity():
                                 a2=uniform(topo)),
         ]
         mats = combos[seed % len(combos)]
+        op = StepOperator(net, mats)
         n_links = len(net.links)
 
         def cx(shape):
@@ -245,7 +246,7 @@ def test_criterion_5_single_step_error_identity():
                 v_w=cx((n_links, m)), v_psi=cx((n_links, m)),
                 v_d=cx((n_links,)), v_u=cx((n_links, m)),
             )
-            out = diffusion_step(DiffusionState(w=w_prev.copy()), net, mats, data)
+            out = diffusion_step(DiffusionState(w=w_prev.copy()), op, data)
             w_ref = literal_step(net, mats, w_prev, data)
             err_sim = data.w_true[None, :] - out.w
             err_ref = data.w_true[None, :] - w_ref

@@ -162,6 +162,28 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(two)]) == EXIT_OK
         assert (one / "curve.csv").read_bytes() == (two / "curve.csv").read_bytes()
 
+    def test_nan_forgetting_factor_is_config_error(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, random_network(3, 4, 2, 0.6, NOISY_RANGES),
+                             runs=2, iterations=50, nu=float("nan"),
+                             rules={"a2": "adaptive"})
+        assert "NaN" in cfg.read_text()
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "forgetting factor nu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["edge", "n_nodes"])
+    def test_fractional_node_index_is_config_error(self, field, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, random_network(3, 4, 2, 0.6, NOISY_RANGES),
+                             runs=1, iterations=10)
+        data = json.loads((tmp_path / "net.json").read_text())
+        if field == "edge":
+            data["edges"].append([1.7, 2])
+        else:
+            data["n_nodes"] = 4.9
+        (tmp_path / "net.json").write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("edge [1.7, 2]" if field == "edge" else "n_nodes must be a whole number") in err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_env_is_config_error(self, value, tmp_path, monkeypatch):
         cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10)

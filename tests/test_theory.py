@@ -11,7 +11,6 @@ from diffnet.network import (
     Topology,
     VarianceRanges,
     WeightTrajectory,
-    link_index,
     random_network,
 )
 from diffnet import theory
@@ -23,14 +22,11 @@ from diffnet.theory import (
     assemble_noise_moments,
     bias,
     block_max_norm,
-    network_emse,
     network_metrics,
-    network_msd,
     series_emse,
     series_msd,
     stability_report,
     step_size_bounds,
-    steady_state_metric,
     theory_report,
     tracking_metrics,
 )
@@ -98,7 +94,7 @@ def literal_mean_matrices(net, mats):
     """Plain-loop transcription of the mean transition matrix and drift."""
     topo = net.topology
     n, m = net.n_nodes, net.m_dim
-    pos = {lk: p for p, lk in enumerate(link_index(topo))}
+    pos = {lk: p for p, lk in enumerate(net.links)}
     mu = net.nodes.mu
 
     r_prime = np.zeros((n, m, m), dtype=complex)
@@ -165,23 +161,46 @@ class TestMeanDynamics:
         assert np.array_equal(md.w_o, other)
 
 
+def kronecker_value(b, numerator, omega):
+    """[vec W]^* (I - B^T kron B^H)^{-1} vec(omega), the dense closed form."""
+    dim = b.shape[0]
+    vec_w = numerator.reshape(-1, order="F")
+    vec_omega = omega.reshape(-1, order="F")
+    sol = np.linalg.solve(np.eye(dim * dim) - np.kron(b.T, b.conj().T), vec_omega)
+    return complex(vec_w.conj() @ sol)
+
+
+def simplified_numerator(net, mats, md):
+    """A2^T (M S M + R_w) A2 + R_psi: the metric numerator when C = I, with plain loops.
+
+    S stacks each node's gradient noise sigma_v2 R_u; R_w and R_psi stack the
+    link noise each receiver takes in through A1 and A2.
+    """
+    n, m = net.n_nodes, net.m_dim
+    s = np.zeros((n * m, n * m), dtype=complex)
+    r_w = np.zeros_like(s)
+    r_psi = np.zeros_like(s)
+    for k in range(n):
+        s[k * m:(k + 1) * m, k * m:(k + 1) * m] = net.nodes.sigma_v2[k] * net.nodes.r_u[k]
+    for p, (l, k) in enumerate(net.links):
+        r_w[k * m:(k + 1) * m, k * m:(k + 1) * m] += mats.a1[l, k] ** 2 * net.link_noise.r_w[p]
+        r_psi[k * m:(k + 1) * m, k * m:(k + 1) * m] += mats.a2[l, k] ** 2 * net.link_noise.r_psi[p]
+    a2t = md.a2_lift.T
+    return a2t @ (md.big_m @ s @ md.big_m + r_w) @ md.a2_lift + r_psi
+
+
 class TestSteadyState:
     @pytest.mark.parametrize("seed", range(10))
     def test_general_path_collapses_when_no_data_sharing(self, seed):
         net = random_network(seed + 100, 5, 2, 0.5, NOISY_RANGES)
         mats = CombinationMatrices(a1=uniform(net.topology), c=np.eye(5),
                                    a2=metropolis(net.topology))
-        general = network_metrics(net, mats, simplified=False)
-        simplified = network_metrics(net, mats, simplified=True)
+        general = network_metrics(net, mats)
+        md = assemble_mean_dynamics(net, mats)
+        num = simplified_numerator(net, mats, md)
+        simplified = [kronecker_value(md.b, num, omega) for omega in theory._omegas(net)]
         for a, b in zip(general, simplified):
             assert abs(a - b) <= 1e-10 * abs(b)
-
-    def test_simplified_path_requires_identity_sharing(self):
-        net, _ = noisy_instance(1)
-        mats = CombinationMatrices(a1=np.eye(4), c=uniform(net.topology).T,
-                                   a2=uniform(net.topology))
-        with pytest.raises(ValueError, match="identity"):
-            network_metrics(net, mats, simplified=True)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_series_agrees_with_direct_solve(self, seed):
@@ -211,33 +230,10 @@ class TestSteadyState:
     def test_intermediate_estimate_noise_raises_the_floor(self):
         net, _ = noisy_instance(3)
         mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
-        base = network_msd(net, mats)
+        base = network_metrics(net, mats)[0]
         net.link_noise.r_psi *= 4.0
-        worse = network_msd(net, mats)
+        worse = network_metrics(net, mats)[0]
         assert worse > base
-
-    def test_metric_accepts_custom_weighting(self):
-        net, mats = noisy_instance(4)
-        md = assemble_mean_dynamics(net, mats)
-        nm = assemble_noise_moments(net, mats, md)
-        dim = net.n_nodes * net.m_dim
-        msd = steady_state_metric(md, nm, np.eye(dim) / net.n_nodes)
-        assert msd == pytest.approx(network_msd(net, mats), rel=1e-12)
-
-    def test_emse_helper_matches_metric_pair(self):
-        net, mats = noisy_instance(5)
-        msd, emse = network_metrics(net, mats)
-        assert network_emse(net, mats) == pytest.approx(emse, rel=1e-12)
-        assert network_msd(net, mats) == pytest.approx(msd, rel=1e-12)
-
-
-def kronecker_value(b, numerator, omega):
-    """[vec W]^* (I - B^T kron B^H)^{-1} vec(omega), the dense closed form."""
-    dim = b.shape[0]
-    vec_w = numerator.reshape(-1, order="F")
-    vec_omega = omega.reshape(-1, order="F")
-    sol = np.linalg.solve(np.eye(dim * dim) - np.kron(b.T, b.conj().T), vec_omega)
-    return complex(vec_w.conj() @ sol)
 
 
 def random_psd(rng, dim):
