@@ -27,6 +27,7 @@ from .network import (
     NetworkModel,
     VarianceRanges,
     WeightTrajectory,
+    _whole,
     load_network,
     network_from_dict,
     random_network,
@@ -117,9 +118,9 @@ def load_scenario(path) -> ScenarioConfig:
             name=str(data.get("name", path.stem)),
             network=network,
             rules=rules,
-            runs=int(data.get("runs", 50)),
-            iterations=int(data.get("iterations", 3000)),
-            seed=int(data.get("seed", 0)),
+            runs=_whole(data.get("runs", 50), "runs", least=1),
+            iterations=_whole(data.get("iterations", 3000), "iterations", least=1),
+            seed=_whole(data.get("seed", 0), "seed", least=0),
             nu=float(data.get("nu", 0.05)),
             mode=data.get("mode"),
             outputs=dict(data.get("outputs", {})),
@@ -261,12 +262,12 @@ def cmd_gen_scenario(args) -> int:
 
 
 def _apply_overrides(scenario: ScenarioConfig, args) -> None:
-    if getattr(args, "runs", None) is not None:
-        scenario.runs = args.runs
-    if getattr(args, "iters", None) is not None:
-        scenario.iterations = args.iters
-    if getattr(args, "seed", None) is not None:
-        scenario.seed = args.seed
+    for flag, name, least in (("runs", "runs", 1), ("iters", "iterations", 1), ("seed", "seed", 0)):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if value < least:
+                raise ConfigError(f"--{flag} must be at least {least}, got {value}")
+            setattr(scenario, name, value)
 
 
 def _simulate_curve(scenario: ScenarioConfig, matrices, adaptive: bool,

@@ -72,6 +72,21 @@ class LinkTable:
     def __iter__(self):
         return zip(self.src.tolist(), self.dst.tolist())
 
+    def segment_sum(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Sum ``values`` over each receiver's in-links along the link ``axis``.
+
+        That axis becomes a node axis, zero at nodes without in-links; the
+        other axes, leading batch axes included, pass through.
+        """
+        fed = self.starts[:-1] < self.starts[1:]
+        if fed.all():
+            return np.add.reduceat(values, self.starts[:-1], axis=axis)
+        # reduceat returns values[start] for an empty segment and rejects start == L
+        moved = np.moveaxis(values, axis, 0)
+        out = np.zeros((len(fed),) + moved.shape[1:], dtype=values.dtype)
+        out[fed] = np.add.reduceat(moved, self.starts[:-1][fed], axis=0)
+        return np.moveaxis(out, 0, axis)
+
 
 @dataclass
 class Topology:
@@ -553,19 +568,22 @@ def network_to_dict(network: NetworkModel) -> dict:
     }
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number."""
+def _whole(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number >= ``least``."""
     try:
-        if float(value).is_integer():
-            return int(float(value))
+        number = float(value)
     except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{what} must be a whole number, got {value!r}")
+        number = None
+    if number is None or not number.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if least is not None and number < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return int(number)
 
 
 def network_from_dict(data: dict) -> NetworkModel:
-    n = _whole(data["n_nodes"], "n_nodes")
-    m = _whole(data["m_dim"], "m_dim")
+    n = _whole(data["n_nodes"], "n_nodes", least=1)
+    m = _whole(data["m_dim"], "m_dim", least=1)
 
     def endpoints(entry, l, k):
         l, k = _whole(l, f"{entry} endpoint"), _whole(k, f"{entry} endpoint")

@@ -15,7 +15,9 @@ is drawn in fixed windows of ``WINDOW`` iterations per stream.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
-vectorizes across runs by calling it on stacked states.
+vectorizes across runs by calling it on stacked states. Each exchange is a
+gather over the directed links, a per-link scale and a segment sum over each
+receiver's in-links, so a step costs O(L M) for L links.
 """
 
 from __future__ import annotations
@@ -146,36 +148,35 @@ class DiffusionState:
 
 
 class StepOperator:
-    """Precompiled structure for one network/matrices pair, built once per simulation."""
+    """Per-link weights for one network/matrices pair, built once per simulation.
+
+    ``a*_self`` is the diagonal of A1 or A2; ``a*_link`` and ``c_link`` (mu_k c_lk)
+    are the entries on the directed cross links, in canonical link order.
+    """
 
     def __init__(self, network: NetworkModel, matrices: CombinationMatrices):
-        n, m = network.n_nodes, network.m_dim
-        links = network.topology.link_table()
-        self.n, self.m = n, m
-        self.src, self.dst, self.starts = links.src, links.dst, links.starts
-        self.mu = network.nodes.mu
-        eye = np.eye(n)
-        self.a1, self.a2 = matrices.a1, matrices.a2
-        self.a1_identity = np.array_equal(self.a1, eye)
-        self.a2_identity = np.array_equal(self.a2, eye)
-        n_links = len(links)
-        a1_link = self.a1[self.src, self.dst]
-        a2_link = self.a2[self.src, self.dst]
-        c_link = matrices.c[self.src, self.dst]
-        self.need_v_w = bool(np.any(a1_link))
-        self.need_v_psi_static = bool(np.any(a2_link))
-        self.c_cross = bool(np.any(c_link))
-        self.mu_c_diag = (self.mu * np.diag(matrices.c))[:, None]
+        self.links = links = network.topology.link_table()
+        self.n, self.m = network.n_nodes, network.m_dim
+        self.src, self.dst = links.src, links.dst
+        mu = network.nodes.mu
+        self.a1_identity, self.a2_identity = (np.array_equal(a, np.eye(self.n))
+                                              for a in (matrices.a1, matrices.a2))
+        self.a1_self, self.a2_self = np.diag(matrices.a1), np.diag(matrices.a2)
+        self.a1_link, self.a2_link = matrices.a1[self.src, self.dst], matrices.a2[self.src, self.dst]
+        self.c_link = mu[self.dst] * matrices.c[self.src, self.dst]
+        self.need_v_w = bool(np.any(self.a1_link))
+        self.need_v_psi_static = bool(np.any(self.a2_link))
+        self.c_cross = bool(np.any(self.c_link))
+        self.mu_c_diag = (mu * np.diag(matrices.c))[:, None]
 
-        def scatter(values):
-            g = np.zeros((n, n_links))
-            g[self.dst, np.arange(n_links)] = values
-            return g
+    def received(self, x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+        """What each link delivers: the sender's row of ``x`` plus the link noise."""
+        sent = np.take(x, self.src, axis=-2)
+        return sent if noise is None else sent + noise
 
-        self.g1 = scatter(a1_link)
-        self.g2 = scatter(a2_link)
-        self.gc = scatter(self.mu[self.dst] * c_link)
-        self.ind = scatter(np.ones(n_links))
+    def combine(self, a_self, a_link, x, received) -> np.ndarray:
+        """a_self x_k plus the sum of a_link times what node k received over its in-links."""
+        return a_self[..., None] * x + self.links.segment_sum(a_link[..., None] * received, axis=-2)
 
 
 def diffusion_step(state: DiffusionState, operator: StepOperator,
@@ -186,56 +187,47 @@ def diffusion_step(state: DiffusionState, operator: StepOperator,
     (received intermediate estimates). When ``state.adaptive`` is set the
     second combine uses online inverse-variance weights updated from the
     received intermediate estimates; otherwise the static matrices apply.
-    Returns a new state carrying w, phi, psi, and the updated adaptive state.
+    Each exchange gathers over the links, scales per link and sums over each
+    receiver's in-links. Returns the new w, phi, psi and adaptive state.
     """
     op = operator
     w = state.w
     u = data.u
-    wt = np.asarray(data.w_true, dtype=complex)
-    if wt.ndim == 1:
-        wt = np.broadcast_to(wt, u.shape[:-2] + wt.shape)
 
-    phi = w if op.a1_identity else np.einsum("lk,...lm->...km", op.a1, w)
-    if data.v_w is not None and op.need_v_w:
-        phi = phi + np.einsum("kp,...pm->...km", op.g1, data.v_w)
+    phi = w if op.a1_identity else op.combine(op.a1_self, op.a1_link, w,
+                                               op.received(w, data.v_w))
 
-    d = np.einsum("...km,...m->...k", u, wt) + data.v
+    d = np.einsum("...km,...m->...k", u, data.w_true) + data.v
     e_self = d - np.einsum("...km,...km->...k", u, phi)
     psi = phi + op.mu_c_diag * u.conj() * e_self[..., None]
     if op.c_cross:
-        u_pair = u[..., op.src, :]
-        if data.v_u is not None:
-            u_pair = u_pair + data.v_u
-        d_pair = d[..., op.src]
+        u_pair = op.received(u, data.v_u)
+        d_pair = np.take(d, op.src, axis=-1)
         if data.v_d is not None:
             d_pair = d_pair + data.v_d
-        e_pair = d_pair - np.einsum("...pm,...pm->...p", u_pair, phi[..., op.dst, :])
-        psi = psi + np.einsum("kp,...pm->...km", op.gc, u_pair.conj() * e_pair[..., None])
+        e_pair = d_pair - np.einsum("...pm,...pm->...p", u_pair, np.take(phi, op.dst, axis=-2))
+        psi = psi + op.links.segment_sum(
+            op.c_link[:, None] * u_pair.conj() * e_pair[..., None], axis=-2)
 
     if state.adaptive is not None:
         ad = state.adaptive
-        psi_recv = psi[..., op.src, :]
-        if data.v_psi is not None:
-            psi_recv = psi_recv + data.v_psi
+        psi_recv = op.received(psi, data.v_psi)
         n_self = np.sum(np.abs(psi - w) ** 2, axis=-1)
-        n_link = np.sum(np.abs(psi_recv - w[..., op.dst, :]) ** 2, axis=-1)
+        n_link = np.sum(np.abs(psi_recv - np.take(w, op.dst, axis=-2)) ** 2, axis=-1)
         g2s = (1.0 - ad.nu) * ad.gamma2_self + ad.nu * n_self
         g2l = (1.0 - ad.nu[op.dst]) * ad.gamma2_link + ad.nu[op.dst] * n_link
         inv_s = 1.0 / g2s
         inv_l = 1.0 / g2l
-        den = inv_s + np.einsum("kp,...p->...k", op.ind, inv_l)
+        den = inv_s + op.links.segment_sum(inv_l)
         a_self = inv_s / den
-        a_link = inv_l / den[..., op.dst]
-        w_new = a_self[..., None] * psi + np.einsum(
-            "kp,...p,...pm->...km", op.ind, a_link, psi_recv
-        )
+        a_link = inv_l / np.take(den, op.dst, axis=-1)
+        w_new = op.combine(a_self, a_link, psi, psi_recv)
         new_ad = AdaptiveArrays(nu=ad.nu, gamma2_self=g2s, gamma2_link=g2l,
                                 a_self=a_self, a_link=a_link)
         return DiffusionState(w=w_new, phi=phi, psi=psi, adaptive=new_ad)
 
-    w_new = psi if op.a2_identity else np.einsum("lk,...lm->...km", op.a2, psi)
-    if data.v_psi is not None and op.need_v_psi_static:
-        w_new = w_new + np.einsum("kp,...pm->...km", op.g2, data.v_psi)
+    w_new = psi if op.a2_identity else op.combine(op.a2_self, op.a2_link, psi,
+                                                   op.received(psi, data.v_psi))
     return DiffusionState(w=w_new, phi=phi, psi=psi, adaptive=None)
 
 
@@ -288,8 +280,34 @@ def _resolve_mode(network: NetworkModel, options: SimulationOptions) -> str:
     return mode
 
 
+def _colouring(factors: np.ndarray):
+    """The map taking row p of z's last two axes to sum_m z[..., p, m] conj(F[p, q, m]).
+
+    It overwrites z and returns it. When every factor F[p] is a scaled
+    identity s_p I, checked once here, it scales row p by conj(s_p);
+    otherwise it is a batched matmul.
+    """
+    scale = factors[:, 0, 0]
+    if np.array_equal(factors, scale[:, None, None] * np.eye(factors.shape[-1])):
+        scale = scale.conj()[:, None]
+        return lambda z: np.multiply(z, scale, out=z)
+    rows = factors.conj().swapaxes(-1, -2)
+
+    def colour(z):
+        z[...] = (z[..., None, :] @ rows)[..., 0, :]
+        return z
+
+    return colour
+
+
 class _Sampler:
-    """Window-sized noise draws for a chunk of runs, per-stream bulk draws."""
+    """Window-sized noise draws for a chunk of runs, per-stream bulk draws.
+
+    Each kind of draw has one (runs, t) + shape buffer, sized by the first
+    window and refilled in place by every later one. A window's draws are
+    views into these buffers and are overwritten by the next window, so a
+    chunk holds one window of noise however many windows it runs.
+    """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
                  policy: RngPolicy, runs: list[int], adaptive: bool):
@@ -297,18 +315,17 @@ class _Sampler:
         self.op = op
         self.mode = mode
         self.m = m
-        self.chol_u = psd_factor(network.nodes.r_u)
+        self.colour_u = _colouring(psd_factor(network.nodes.r_u))
         self.sig_v = np.sqrt(network.nodes.sigma_v2)
         ln = network.link_noise
         self.need_w = op.need_v_w and bool(np.any(ln.r_w))
         self.need_psi = (op.need_v_psi_static or adaptive) and bool(np.any(ln.r_psi))
         self.need_d = op.c_cross and bool(np.any(ln.sigma_d2))
         self.need_u_link = op.c_cross and bool(np.any(ln.r_u_link))
-        self.chol_w = psd_factor(ln.r_w)
-        self.chol_psi = psd_factor(ln.r_psi)
-        self.chol_u_link = psd_factor(ln.r_u_link)
+        self.colour_w = _colouring(psd_factor(ln.r_w))
+        self.colour_psi = _colouring(psd_factor(ln.r_psi))
+        self.colour_u_link = _colouring(psd_factor(ln.r_u_link))
         self.sig_d = np.sqrt(ln.sigma_d2)
-        self.n_links = len(op.src)
         self.chol_eta = (psd_factor(network.weights.r_eta)
                          if mode == "random_walk" else None)
         self.gens = []
@@ -324,11 +341,19 @@ class _Sampler:
                 if needed:
                     g[source] = [policy.stream(run, source, k) for k in range(n)]
             self.gens.append(g)
+        self.buffers = {}
 
-    def _draw_links(self, source: str, t: int, tail: tuple) -> np.ndarray:
+    def _buffer(self, key: str, t: int, tail: tuple) -> np.ndarray:
+        """The first ``t`` iterations of the (runs, t) + ``tail`` buffer for ``key``."""
+        buf = self.buffers.get(key)
+        if buf is None or buf.shape[1] < t:
+            buf = self.buffers[key] = np.empty((len(self.gens), t) + tail, dtype=complex)
+        return buf[:, :t]
+
+    def _draw_links(self, source: str, key: str, t: int, tail: tuple) -> np.ndarray:
         """Standard draws of shape (runs, t, L) + tail; node k's stream fills its in-links."""
-        starts = self.op.starts
-        z = np.zeros((len(self.gens), t, self.n_links) + tail, dtype=complex)
+        starts = self.op.links.starts
+        z = self._buffer(key, t, (len(self.op.src),) + tail)
         for i, g in enumerate(self.gens):
             for k, gen in enumerate(g[source]):
                 lo, hi = starts[k], starts[k + 1]
@@ -338,33 +363,31 @@ class _Sampler:
 
     def window(self, t: int) -> dict:
         """Draw all noise for the next ``t`` iterations of this chunk."""
-        r = len(self.gens)
         n = self.op.n
-        zu = np.empty((r, t, n, self.m), dtype=complex)
-        zv = np.empty((r, t, n), dtype=complex)
+        zu = self._buffer("u", t, (n, self.m))
+        zv = self._buffer("v", t, (n,))
         for i, g in enumerate(self.gens):
             for k in range(n):
                 zu[i, :, k, :] = crandn(g["u"][k], (t, self.m))
                 zv[i, :, k] = crandn(g["v"][k], (t,))
         out = {
-            "u": np.einsum("rtkm,kpm->rtkp", zu, self.chol_u.conj()),
-            "v": zv * self.sig_v,
+            "u": self.colour_u(zu),
+            "v": np.multiply(zv, self.sig_v, out=zv),
         }
         if self.mode == "random_walk":
             zeta = np.stack([crandn(g["eta"], (t, self.m)) for g in self.gens])
-            out["eta"] = np.einsum("rtm,pm->rtp", zeta, self.chol_eta.conj())
+            out["eta"] = np.einsum("rtm,pm->rtp", zeta, self.chol_eta.conj(),
+                                   out=self._buffer("eta", t, (self.m,)))
         vec = (self.m,)
         if self.need_w:
-            out["v_w"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("w", t, vec),
-                                   self.chol_w.conj())
+            out["v_w"] = self.colour_w(self._draw_links("w", "v_w", t, vec))
         if self.need_psi:
-            out["v_psi"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("psi", t, vec),
-                                     self.chol_psi.conj())
+            out["v_psi"] = self.colour_psi(self._draw_links("psi", "v_psi", t, vec))
         if self.need_d:
-            out["v_d"] = self._draw_links("d", t, ()) * self.sig_d
+            z = self._draw_links("d", "v_d", t, ())
+            out["v_d"] = np.multiply(z, self.sig_d, out=z)
         if self.need_u_link:
-            out["v_u"] = np.einsum("rtpm,pqm->rtpq", self._draw_links("u_link", t, vec),
-                                   self.chol_u_link.conj())
+            out["v_u"] = self.colour_u_link(self._draw_links("u_link", "v_u", t, vec))
         return out
 
 

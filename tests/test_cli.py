@@ -184,6 +184,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert ("edge [1.7, 2]" if field == "edge" else "n_nodes must be a whole number") in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("runs", 2.7, "runs must be a whole number, got 2.7"),
+        ("iterations", 20.9, "iterations must be a whole number, got 20.9"),
+        ("seed", 1.5, "seed must be a whole number, got 1.5"),
+        ("runs", 0, "runs must be at least 1, got 0"),
+        ("iterations", -5, "iterations must be at least 1, got -5"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+    ])
+    def test_bad_run_setting_is_config_error(self, field, value, message, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), **{"runs": 1, "iterations": 10,
+                                                           field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--iters", "-1"), ("--seed", "-1")])
+    def test_bad_run_override_is_config_error(self, flag, value, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10)
+        assert main(["simulate", "--config", str(cfg), flag, value]) == EXIT_CONFIG
+        assert f"{flag} must be at least" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_env_is_config_error(self, value, tmp_path, monkeypatch):
         cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10)

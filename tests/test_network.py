@@ -121,6 +121,35 @@ def test_link_table_matches_loop_order_and_survives_json(adj):
         assert np.array_equal(getattr(back.link_noise, field), getattr(net.link_noise, field))
 
 
+@settings(max_examples=60, deadline=None)
+@given(symmetric_adjacency(), st.integers(0, 2 ** 16))
+def test_segment_sum_adds_each_receivers_in_links(adj, seed):
+    """Isolated nodes anywhere (the last one puts starts[k] == L) and the zero-link network."""
+    table = Topology(len(adj), adj).link_table()
+    gen = np.random.default_rng(seed)
+    links = gen.standard_normal((3, len(table), 2)) + 1j * gen.standard_normal((3, len(table), 2))
+    want = np.zeros((3, len(adj), 2), dtype=complex)
+    for p, (_, k) in enumerate(table):
+        want[:, k] += links[:, p]
+    got = table.segment_sum(links, axis=-2)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(table.segment_sum(links[..., 0]), got[..., 0])
+    # a batch row sums exactly as it does alone, so run chunking cannot change the bits
+    for row in range(3):
+        assert table.segment_sum(links[row], axis=-2).tobytes() == got[row].tobytes()
+
+
+@pytest.mark.parametrize("edges, isolated", [
+    ([(1, 2), (2, 3)], 0), ([(0, 1), (1, 3), (0, 3)], 2), ([(0, 1), (1, 2)], 3),
+])
+def test_segment_sum_zeroes_nodes_without_in_links(edges, isolated):
+    topo = Topology.from_edges(4, edges)
+    sums = topo.link_table().segment_sum(np.ones((5, 2 * len(edges))))
+    assert np.all(sums[:, isolated] == 0.0)
+    assert np.array_equal(sums[0], [topo.degree(k) - 1 for k in range(4)])
+
+
 class TestValidate:
     def test_clean_network_passes(self):
         rep = validate(make_network(chain3()))
@@ -383,6 +412,15 @@ class TestJsonRoundTrip:
         else:
             data[field] = value
         with pytest.raises(ValueError, match=message):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_nodes", 0), ("n_nodes", -1), ("m_dim", 0), ("m_dim", -2),
+    ])
+    def test_nonpositive_size_rejected_by_name(self, field, value):
+        data = network_to_dict(make_network(chain3()))
+        data[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be at least 1, got {value}$"):
             network_from_dict(data)
 
     def test_whole_float_indices_load(self):

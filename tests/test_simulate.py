@@ -28,7 +28,8 @@ from diffnet.simulate import (
     steady_state_level,
     trajectory_to_csv,
 )
-from diffnet.simulate import _Sampler
+from diffnet.linalg import psd_factor
+from diffnet.simulate import _colouring, _Sampler
 from reference import AdaptiveWeightState, adaptive_update
 
 NOISY_RANGES = VarianceRanges(
@@ -361,6 +362,110 @@ class TestDiffusionStep:
             assert np.allclose(state.adaptive.gamma2_link, mirror.gamma2_link, atol=1e-12)
 
 
+def network_on(topology, m=2, seed=0):
+    """A network on ``topology``, which may leave nodes without links."""
+    gen = np.random.default_rng(seed)
+    n = topology.n_nodes
+    return NetworkModel(
+        topology=topology,
+        nodes=NodeProfile(m_dim=m, r_u=np.stack([np.eye(m, dtype=complex)] * n),
+                          sigma_v2=np.full(n, 0.05), mu=gen.uniform(0.05, 0.2, n)),
+        link_noise=LinkNoiseProfile.zeros(len(topology.link_table()), m),
+        weights=WeightTrajectory(mode="constant", w0=np.ones(m, dtype=complex)),
+    )
+
+
+# node 0, node 2 or node 4 has no links; the last one puts starts[4] == L
+ISOLATED_NODE_EDGES = {
+    0: [(1, 2), (2, 3), (3, 4), (1, 4)],
+    2: [(0, 1), (1, 3), (3, 4), (0, 4)],
+    4: [(0, 1), (1, 2), (2, 3), (0, 3)],
+}
+
+
+class TestNodesWithoutLinks:
+    @pytest.mark.parametrize("topo", [
+        *(Topology.from_edges(5, edges) for edges in ISOLATED_NODE_EDGES.values()),
+        Topology.from_edges(1, []),
+    ], ids=["first", "middle", "last", "single-node"])
+    @pytest.mark.parametrize("layout", ["atc", "cta", "sharing"])
+    def test_step_matches_plain_loop_reference(self, topo, layout):
+        net = network_on(topo)
+        n = net.n_nodes
+        a, eye = uniform(topo), np.eye(n)
+        mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
+                "cta": CombinationMatrices(a1=a, c=eye, a2=eye),
+                "sharing": CombinationMatrices(a1=a, c=a.T, a2=a)}[layout]
+        gen = np.random.default_rng(n)
+        w_prev = gen.standard_normal((n, 2)) + 1j * gen.standard_normal((n, 2))
+        data = random_step_data(gen, net)
+        op = StepOperator(net, mats)
+        op.a1_identity = op.a2_identity = False  # the single node's combines are identities
+        out = diffusion_step(DiffusionState(w=w_prev.copy()), op, data)
+        for got, want in zip((out.phi, out.psi, out.w), reference_step(net, mats, w_prev, data)):
+            assert np.allclose(got, want, atol=1e-13)
+
+    @pytest.mark.parametrize("isolated", sorted(ISOLATED_NODE_EDGES))
+    def test_adaptive_step_on_a_node_without_in_links(self, isolated):
+        topo = Topology.from_edges(5, ISOLATED_NODE_EDGES[isolated])
+        net = network_on(topo)
+        mats = CombinationMatrices(a1=np.eye(5), c=np.eye(5), a2=uniform(topo))
+        gen = np.random.default_rng(isolated)
+        state = DiffusionState.initial(5, 2, adaptive_nu=0.2, n_links=len(net.links))
+        mirror = AdaptiveWeightState.initial(topo, 0.2)
+        pos = {lk: p for p, lk in enumerate(net.links)}
+        op = StepOperator(net, mats)
+        for _ in range(3):
+            data = random_step_data(gen, net)
+            w_prev = state.w.copy()
+            state = diffusion_step(state, op, data)
+            assert state.adaptive.a_self[isolated] == 1.0
+            assert np.array_equal(state.w[isolated], state.psi[isolated])
+            for k in range(5):
+                nbrs = topo.neighbors(k)
+                rows = np.stack([state.psi[l] if l == k
+                                 else state.psi[l] + data.v_psi[pos[(int(l), k)]] for l in nbrs])
+                mirror, col = adaptive_update(mirror, topo, k, rows, w_prev[k])
+                assert np.allclose(state.w[k], col[nbrs] @ rows, atol=1e-12)
+            assert np.allclose(state.adaptive.gamma2_self, mirror.gamma2_self, atol=1e-12)
+            assert np.allclose(state.adaptive.gamma2_link, mirror.gamma2_link, atol=1e-12)
+
+
+def colour_oracle(z, factors):
+    """The colouring as the engine used to write it, one einsum."""
+    return np.einsum("rtpm,pqm->rtpq", z, factors.conj())
+
+
+class TestColouring:
+    def draws(self, p, m, seed=0):
+        gen = np.random.default_rng(seed)
+        return gen.standard_normal((3, 5, p, m)) + 1j * gen.standard_normal((3, 5, p, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scaled_identities_match_the_einsum_exactly(self, m):
+        scales = np.array([0.0, 1e-3, 0.5, 2.0, 7.25])  # a zero row is a link without noise
+        factors = psd_factor(scales[:, None, None] * np.eye(m, dtype=complex))
+        assert np.all(factors[:, ~np.eye(m, dtype=bool)] == 0.0)
+        z = self.draws(len(scales), m)
+        want = colour_oracle(z, factors)
+        got = z.copy()
+        assert _colouring(factors)(got) is got  # the per-link scale works in place
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_general_factors_match_the_einsum(self, m):
+        gen = np.random.default_rng(m)
+        g = gen.standard_normal((4, m, m)) + 1j * gen.standard_normal((4, m, m))
+        factors = psd_factor(g @ g.conj().swapaxes(1, 2))
+        factors[1] = 0.3 * np.eye(m)  # one scaled identity among general factors
+        z = self.draws(4, m, seed=1)
+        want = colour_oracle(z, factors)
+        got = _colouring(factors)(z.copy())
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert [got[i].tobytes() for i in range(3)] == [
+            _colouring(factors)(z[i:i + 1].copy())[0].tobytes() for i in range(3)]
+
+
 def literal_mean_recursion(net, mats, iterations):
     """Expected stacked error sequence from the first-moment recursion,
     assembled with plain loops (independent of the analysis module)."""
@@ -524,12 +629,21 @@ class TestRunMonteCarlo:
 
 @st.composite
 def chunked_engine_case(draw):
-    """A random valid network with one of the static or adaptive rule layouts."""
+    """A random valid network with one of the static or adaptive rule layouts.
+
+    Regressor and link-noise covariances are isotropic or not, so noise is
+    coloured both by a per-link scale and by the general matmul.
+    """
     n, m = draw(st.integers(2, 6)), draw(st.integers(1, 2))
     # the largest step-sizes drawn from (0.01, 2.5) or (0.01, 4) make some or all runs diverge
     mu = draw(st.sampled_from([0.05, 0.5, 2.5, 4.0]))
-    ranges = VarianceRanges(**{**NOISY_RANGES.__dict__, "mu": (0.01, mu)})
+    style = draw(st.sampled_from(["isotropic", "trace_normalized"]))
+    ranges = VarianceRanges(**{**NOISY_RANGES.__dict__, "mu": (0.01, mu), "regressor_style": style})
     net = random_network(draw(st.integers(0, 2 ** 16)), n, m, 0.6, ranges)
+    if m == 2 and draw(st.booleans()):
+        mix = np.array([[1.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])  # PSD, eigenvalues 1 +- 0.71
+        ln = net.link_noise
+        ln.r_w, ln.r_psi, ln.r_u_link = ln.r_w @ mix, ln.r_psi @ mix, ln.r_u_link @ mix
     a, eye = uniform(net.topology), np.eye(n)
     layout = draw(st.sampled_from(["atc", "cta", "sharing", "adaptive"]))
     mats = {
