@@ -55,9 +55,7 @@ from .theory import (
     assemble_mean_dynamics,
     assemble_noise_moments,
     bias,
-    block_max_norm,
     network_metrics,
-    series_emse,
     series_msd,
     stability_report,
     step_size_bounds,

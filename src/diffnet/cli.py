@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,20 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # scenario files
 
+SCENARIO_KEYS = ("name", "network", "rules", "runs", "iterations", "seed", "nu", "mode", "outputs")
+RULE_SLOTS = ("a1", "c", "a2")
+
+
+def _object(value, what: str, keys=None) -> dict:
+    """``value`` if it is a JSON object with keys among ``keys``; else a ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r:.60}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(keys)}")
+    return value
+
 
 @dataclass
 class ScenarioConfig:
@@ -83,8 +97,12 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("scenario file must hold a JSON object")
+    _object(data, "scenario", SCENARIO_KEYS)
+    rules = _object(data.get("rules", {}), "rules", RULE_SLOTS)
+    outputs = _object(data.get("outputs", {}), "outputs")
+    for key, value in outputs.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"outputs.{key} must be a file name, got {value!r}")
 
     base_dir = path.resolve().parent
     net_spec = data.get("network")
@@ -109,21 +127,17 @@ def load_scenario(path) -> ScenarioConfig:
     if not report.ok:
         raise ConfigError(f"network failed validation:\n{report}")
 
-    rules = dict(data.get("rules", {}))
-    for slot in ("a1", "c", "a2"):
-        rules.setdefault(slot, "identity")
-
     try:
         cfg = ScenarioConfig(
             name=str(data.get("name", path.stem)),
             network=network,
-            rules=rules,
+            rules={slot: rules.get(slot, "identity") for slot in RULE_SLOTS},
             runs=_whole(data.get("runs", 50), "runs", least=1),
             iterations=_whole(data.get("iterations", 3000), "iterations", least=1),
             seed=_whole(data.get("seed", 0), "seed", least=0),
             nu=float(data.get("nu", 0.05)),
             mode=data.get("mode"),
-            outputs=dict(data.get("outputs", {})),
+            outputs=dict(outputs),
             base_dir=base_dir,
         )
     except (TypeError, ValueError) as exc:
@@ -377,13 +391,7 @@ def cmd_compare(args) -> int:
 
     rows = []
     for rule in rule_names:
-        trial = ScenarioConfig(
-            name=scenario.name, network=scenario.network,
-            rules={**scenario.rules, slot: rule},
-            runs=scenario.runs, iterations=scenario.iterations,
-            seed=scenario.seed, nu=scenario.nu, mode=scenario.mode,
-            outputs={}, base_dir=scenario.base_dir,
-        )
+        trial = replace(scenario, rules={**scenario.rules, slot: rule}, outputs={})
         matrices, adaptive = _build_matrices(trial)
         theory_msd_db = theory_emse_db = None
         note = ""

@@ -40,25 +40,17 @@ RULE_NAMES = ("metropolis", "uniform", "relative_variance", "adaptive", "identit
 
 def metropolis(topology: Topology) -> np.ndarray:
     """Metropolis weights: 1/max(|N_k|, |N_l|) on cross links, rest on self."""
-    n = topology.n_nodes
-    deg = np.array([topology.degree(k) for k in range(n)])
-    a = np.zeros((n, n))
-    for k in range(n):
-        for l in topology.neighbors(k):
-            if l != k:
-                a[l, k] = 1.0 / max(deg[k], deg[l])
-        a[k, k] = 1.0 - a[:, k].sum()
+    links = topology.link_table()
+    deg = topology.adjacency.sum(axis=0)
+    a = np.zeros(topology.adjacency.shape)
+    a[links.src, links.dst] = 1.0 / np.maximum(deg[links.src], deg[links.dst])
+    np.fill_diagonal(a, 1.0 - a.sum(axis=0))
     return a
 
 
 def uniform(topology: Topology) -> np.ndarray:
     """Uniform averaging over the neighborhood, self included."""
-    n = topology.n_nodes
-    a = np.zeros((n, n))
-    for k in range(n):
-        nbrs = topology.neighbors(k)
-        a[nbrs, k] = 1.0 / len(nbrs)
-    return a
+    return topology.adjacency / topology.adjacency.sum(axis=0)
 
 
 def relative_variance_gamma2(topology: Topology, nodes: NodeProfile,
@@ -83,18 +75,11 @@ def weights_from_gamma2(topology: Topology, gamma2: np.ndarray) -> np.ndarray:
     Zero-variance entries take the limit: the weight splits uniformly over
     the zero entries and everything else gets 0.
     """
-    n = topology.n_nodes
-    a = np.zeros((n, n))
-    for k in range(n):
-        nbrs = topology.neighbors(k)
-        g = gamma2[nbrs, k]
-        zero = g == 0.0
-        if zero.any():
-            a[nbrs[zero], k] = 1.0 / zero.sum()
-        else:
-            inv = 1.0 / g
-            a[nbrs, k] = inv / inv.sum()
-    return a
+    adj = topology.adjacency
+    zero = adj & (gamma2 == 0.0)
+    inv = np.divide(1.0, gamma2, out=np.zeros(adj.shape), where=adj & ~zero)
+    w = np.where(zero.any(axis=0), zero, inv)
+    return w / w.sum(axis=0)
 
 
 def relative_variance(topology: Topology, nodes: NodeProfile,

@@ -569,9 +569,12 @@ def network_to_dict(network: NetworkModel) -> dict:
 
 
 def _whole(value, what: str, least: int | None = None) -> int:
-    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number >= ``least``."""
+    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number >= ``least``.
+
+    Booleans and strings are refused by kind, even when they would convert.
+    """
     try:
-        number = float(value)
+        number = None if isinstance(value, (bool, np.bool_, str)) else float(value)
     except (TypeError, ValueError):
         number = None
     if number is None or not number.is_integer():

@@ -36,9 +36,7 @@ __all__ = [
     "assemble_noise_moments",
     "network_metrics",
     "series_msd",
-    "series_emse",
     "tracking_metrics",
-    "block_max_norm",
     "stability_report",
     "theory_report",
 ]
@@ -55,17 +53,9 @@ class InstabilityError(RuntimeError):
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
     """(N, M, M) stack -> (NM, NM) block diagonal."""
     n, m, _ = blocks.shape
-    out = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(n):
-        out[k * m:(k + 1) * m, k * m:(k + 1) * m] = blocks[k]
-    return out
-
-
-def _segment_sum(dst: np.ndarray, n: int, terms: np.ndarray) -> np.ndarray:
-    """(n, ...) sums of the per-link ``terms`` over each receiver's in-links."""
-    out = np.zeros((n,) + terms.shape[1:], dtype=complex)
-    np.add.at(out, dst, terms)
-    return out
+    out = np.zeros((n, m, n, m), dtype=complex)
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(n * m, n * m)
 
 
 @dataclass
@@ -111,9 +101,9 @@ def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
     r_u_link = network.link_noise.r_u_link
 
     coeff = c[links.src, links.dst]
-    r_prime = np.diagonal(c)[:, None, None] * r_u + _segment_sum(
-        links.dst, n, coeff[:, None, None] * (r_u[links.src] + r_u_link))
-    z_blocks = _segment_sum(links.dst, n, -coeff[:, None] * (r_u_link @ w_o))
+    r_prime = np.diagonal(c)[:, None, None] * r_u + links.segment_sum(
+        coeff[:, None, None] * (r_u[links.src] + r_u_link), axis=0)
+    z_blocks = links.segment_sum(-coeff[:, None] * (r_u_link @ w_o), axis=0)
 
     big_m = np.kron(np.diag(network.nodes.mu), np.eye(m))
     a1_lift = kron_lift(matrices.a1, m)
@@ -216,7 +206,6 @@ class NoiseMoments:
 def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
                            mean_dynamics: MeanDynamics | None = None) -> NoiseMoments:
     md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
-    n = network.n_nodes
     links = network.topology.link_table()
     src, dst = links.src, links.dst
     ln = network.link_noise
@@ -228,7 +217,7 @@ def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
 
     def link_sum(mat, per_link):
         """Block-diagonal sum over in-links of mat[l, k]^2 * per_link[p]."""
-        return _block_diag(_segment_sum(dst, n, (mat[src, dst] ** 2)[:, None, None] * per_link))
+        return _block_diag(links.segment_sum((mat[src, dst] ** 2)[:, None, None] * per_link, axis=0))
 
     sd2 = ln.sigma_d2[:, None, None]
     quad = np.einsum("m,pmq,q->p", w_o.conj(), ln.r_u_link, w_o).real[:, None, None]
@@ -341,13 +330,6 @@ def series_msd(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
     return _check_real(total, "steady-state metric (series)"), terms
 
 
-def series_emse(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
-                r_u: np.ndarray, tol: float = 1e-9, max_terms: int = 10 ** 6):
-    """Series evaluation with the EMSE weighting built from (N, M, M) r_u."""
-    omega = _block_diag(r_u) / mean_dynamics.n_nodes
-    return series_msd(mean_dynamics, noise_moments, omega, tol, max_terms)
-
-
 # ---------------------------------------------------------------------------
 # tracking
 
@@ -393,74 +375,7 @@ def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
 
 
 # ---------------------------------------------------------------------------
-# block maximum norm and stability
-
-
-def _split_blocks(x: np.ndarray, m_dim: int) -> np.ndarray:
-    dim = x.shape[0]
-    n = dim // m_dim
-    return x.reshape(n, m_dim, n, m_dim).transpose(0, 2, 1, 3)
-
-
-def block_max_norm(x: np.ndarray, m_dim: int) -> float:
-    """Block maximum norm of a stacked vector or its induced matrix norm.
-
-    Vectors: the largest per-node Euclidean norm. Matrices: exact for the
-    two structured cases that arise in the stability analysis (Kronecker
-    lifts of right-stochastic matrices give exactly 1; block-diagonal
-    Hermitian matrices give their spectral radius); anything else falls back
-    to a bounded power-ascent lower-bound estimate.
-    """
-    x = np.asarray(x)
-    if x.ndim == 1:
-        if x.size % m_dim:
-            raise ValueError("vector length is not a multiple of the block size")
-        return float(np.max(np.linalg.norm(x.reshape(-1, m_dim), axis=1)))
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % m_dim:
-        raise ValueError("expected a square matrix of stacked blocks")
-    blocks = _split_blocks(x, m_dim)
-    n = blocks.shape[0]
-    off = blocks.copy()
-    off[np.arange(n), np.arange(n)] = 0.0
-
-    scale = max(float(np.abs(x).max()), 1e-300)
-    if not np.any(np.abs(off) > 1e-14 * scale):
-        diag = blocks[np.arange(n), np.arange(n)]
-        herm = max(float(np.abs(diag[k] - diag[k].conj().T).max()) for k in range(n))
-        if herm <= 1e-12 * scale:
-            return max(float(np.abs(np.linalg.eigvalsh(diag[k])).max()) for k in range(n))
-
-    coeff = blocks[:, :, 0, 0]
-    lift = coeff[:, :, None, None] * np.eye(m_dim)[None, None]
-    if np.all(np.abs(blocks - lift) <= 1e-12 * scale):
-        a = coeff.real
-        if (np.all(np.abs(coeff.imag) <= 1e-12 * scale) and np.all(a >= -1e-12)
-                and np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)):
-            return 1.0
-    return _power_ascent(blocks)
-
-
-def _power_ascent(blocks: np.ndarray, iters: int = 80, restarts: int = 4) -> float:
-    """Lower-bound estimate of the induced block-max norm by alternating ascent."""
-    n, _, m, _ = blocks.shape
-    rng = np.random.default_rng(0)
-    best = 0.0
-    for _ in range(restarts):
-        x = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        for _ in range(iters):
-            y = np.einsum("lkab,kb->la", blocks, x)
-            norms = np.linalg.norm(y, axis=1)
-            best = max(best, float(norms.max()))
-            l_star = int(np.argmax(norms))
-            if norms[l_star] == 0.0:
-                break
-            u = y[l_star] / norms[l_star]
-            x_new = np.einsum("kba,b->ka", blocks[l_star].conj(), u)
-            nrm = np.linalg.norm(x_new, axis=1)
-            keep = nrm <= 1e-300
-            x = np.where(keep[:, None], x, x_new / np.where(keep, 1.0, nrm)[:, None])
-    return best
+# stability
 
 
 @dataclass
@@ -482,14 +397,9 @@ def stability_report(mean_dynamics: MeanDynamics) -> StabilityInfo:
     """
     md = mean_dynamics
     rho_b = md.rho_b
-    m = md.m_dim
-    eye = np.eye(m)
-    mu = np.real(np.diag(md.big_m)).reshape(md.n_nodes, m)[:, 0]
-    rho_bound = 0.0
-    for k in range(md.n_nodes):
-        block = eye - mu[k] * md.r_prime[k]
-        rho_bound = max(rho_bound, float(np.abs(np.linalg.eigvalsh(
-            0.5 * (block + block.conj().T))).max()))
+    mu = np.real(np.diag(md.big_m))[::md.m_dim]
+    blocks = np.eye(md.m_dim) - mu[:, None, None] * md.r_prime
+    rho_bound = float(np.abs(np.linalg.eigvalsh(hermitize(blocks))).max())
     rho_f = rho_b ** 2
     return StabilityInfo(
         rho_b=rho_b,

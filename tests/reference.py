@@ -1,8 +1,11 @@
-"""Per-node reference versions of engine internals, kept as test oracles.
+"""Per-node reference versions of library internals, kept as test oracles.
 
 The engine runs the adaptive combination rule batched over runs and links
-inside ``diffnet.simulate.diffusion_step``. The node-at-a-time version here
-is what the engine is checked against.
+inside ``diffnet.simulate.diffusion_step``; ``diffnet.combine`` builds the
+static rules and ``diffnet.theory`` the stability bound as whole-network
+array operations. The node-at-a-time versions here are what those are
+checked against. The block maximum norm and the series EMSE are analysis
+helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from diffnet.network import Topology
+from diffnet.theory import MeanDynamics, NoiseMoments, _block_diag, series_msd
 
 
 @dataclass
@@ -92,3 +96,136 @@ def adaptive_update(state: AdaptiveWeightState, topology: Topology, k: int,
         inv = 1.0 / gamma2
         column[nbrs] = inv / inv.sum()
     return new, column
+
+
+# ---------------------------------------------------------------------------
+# per-node combination rules and stability bound
+
+
+def metropolis(topology: Topology) -> np.ndarray:
+    """Metropolis weights built one receiving node at a time."""
+    n = topology.n_nodes
+    deg = np.array([topology.degree(k) for k in range(n)])
+    a = np.zeros((n, n))
+    for k in range(n):
+        for l in topology.neighbors(k):
+            if l != k:
+                a[l, k] = 1.0 / max(deg[k], deg[l])
+        a[k, k] = 1.0 - a[:, k].sum()
+    return a
+
+
+def uniform(topology: Topology) -> np.ndarray:
+    """Uniform neighborhood averaging built one receiving node at a time."""
+    n = topology.n_nodes
+    a = np.zeros((n, n))
+    for k in range(n):
+        nbrs = topology.neighbors(k)
+        a[nbrs, k] = 1.0 / len(nbrs)
+    return a
+
+
+def weights_from_gamma2(topology: Topology, gamma2: np.ndarray) -> np.ndarray:
+    """Inverse-variance weights normalized one neighborhood at a time."""
+    n = topology.n_nodes
+    a = np.zeros((n, n))
+    for k in range(n):
+        nbrs = topology.neighbors(k)
+        g = gamma2[nbrs, k]
+        zero = g == 0.0
+        if zero.any():
+            a[nbrs[zero], k] = 1.0 / zero.sum()
+        else:
+            inv = 1.0 / g
+            a[nbrs, k] = inv / inv.sum()
+    return a
+
+
+def rho_spectral_bound(md: MeanDynamics) -> float:
+    """Largest |eigenvalue| of the Hermitian adapt blocks I - mu_k r_prime[k], node by node."""
+    m = md.m_dim
+    mu = np.real(np.diag(md.big_m)).reshape(md.n_nodes, m)[:, 0]
+    rho_bound = 0.0
+    for k in range(md.n_nodes):
+        block = np.eye(m) - mu[k] * md.r_prime[k]
+        rho_bound = max(rho_bound, float(np.abs(np.linalg.eigvalsh(
+            0.5 * (block + block.conj().T))).max()))
+    return rho_bound
+
+
+# ---------------------------------------------------------------------------
+# analysis helpers used only by the tests
+
+
+def series_emse(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
+                r_u: np.ndarray, tol: float = 1e-9, max_terms: int = 10 ** 6):
+    """Series evaluation with the EMSE weighting built from (N, M, M) r_u."""
+    omega = _block_diag(r_u) / mean_dynamics.n_nodes
+    return series_msd(mean_dynamics, noise_moments, omega, tol, max_terms)
+
+
+def _split_blocks(x: np.ndarray, m_dim: int) -> np.ndarray:
+    dim = x.shape[0]
+    n = dim // m_dim
+    return x.reshape(n, m_dim, n, m_dim).transpose(0, 2, 1, 3)
+
+
+def block_max_norm(x: np.ndarray, m_dim: int) -> float:
+    """Block maximum norm of a stacked vector or its induced matrix norm.
+
+    Vectors: the largest per-node Euclidean norm. Matrices: exact for the
+    two structured cases that arise in the stability analysis (Kronecker
+    lifts of right-stochastic matrices give exactly 1; block-diagonal
+    Hermitian matrices give their spectral radius); anything else falls back
+    to a bounded power-ascent lower-bound estimate.
+    """
+    x = np.asarray(x)
+    if x.ndim == 1:
+        if x.size % m_dim:
+            raise ValueError("vector length is not a multiple of the block size")
+        return float(np.max(np.linalg.norm(x.reshape(-1, m_dim), axis=1)))
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % m_dim:
+        raise ValueError("expected a square matrix of stacked blocks")
+    blocks = _split_blocks(x, m_dim)
+    n = blocks.shape[0]
+    off = blocks.copy()
+    off[np.arange(n), np.arange(n)] = 0.0
+
+    scale = max(float(np.abs(x).max()), 1e-300)
+    if not np.any(np.abs(off) > 1e-14 * scale):
+        diag = blocks[np.arange(n), np.arange(n)]
+        herm = max(float(np.abs(diag[k] - diag[k].conj().T).max()) for k in range(n))
+        if herm <= 1e-12 * scale:
+            return max(float(np.abs(np.linalg.eigvalsh(diag[k])).max()) for k in range(n))
+
+    coeff = blocks[:, :, 0, 0]
+    lift = coeff[:, :, None, None] * np.eye(m_dim)[None, None]
+    if np.all(np.abs(blocks - lift) <= 1e-12 * scale):
+        a = coeff.real
+        if (np.all(np.abs(coeff.imag) <= 1e-12 * scale) and np.all(a >= -1e-12)
+                and np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)):
+            return 1.0
+    return _power_ascent(blocks)
+
+
+def _power_ascent(blocks: np.ndarray, iters: int = 80, restarts: int = 4) -> float:
+    """Lower-bound estimate of the induced block-max norm by alternating ascent."""
+    n, _, m, _ = blocks.shape
+    rng = np.random.default_rng(0)
+    best = 0.0
+    for _ in range(restarts):
+        x = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        for _ in range(iters):
+            y = np.einsum("lkab,kb->la", blocks, x)
+            norms = np.linalg.norm(y, axis=1)
+            best = max(best, float(norms.max()))
+            l_star = int(np.argmax(norms))
+            if norms[l_star] == 0.0:
+                break
+            u = y[l_star] / norms[l_star]
+            x_new = np.einsum("kba,b->ka", blocks[l_star].conj(), u)
+            nrm = np.linalg.norm(x_new, axis=1)
+            keep = nrm <= 1e-300
+            x = np.where(keep[:, None], x, x_new / np.where(keep, 1.0, nrm)[:, None])
+    return best

@@ -32,14 +32,13 @@ from diffnet.theory import (
     assemble_mean_dynamics,
     assemble_noise_moments,
     bias,
-    block_max_norm,
     network_metrics,
-    series_emse,
     series_msd,
     stability_report,
     step_size_bounds,
     tracking_metrics,
 )
+from reference import block_max_norm, series_emse
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),

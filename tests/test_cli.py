@@ -212,6 +212,67 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+class TestScenarioSchema:
+    @pytest.mark.parametrize("field, value, message", [
+        ("runs", True, "runs must be a whole number, got True"),
+        ("iterations", "12", "iterations must be a whole number, got '12'"),
+        ("seed", False, "seed must be a whole number, got False"),
+    ])
+    def test_boolean_or_string_run_setting_is_config_error(self, field, value, message,
+                                                           tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), **{"runs": 1, "iterations": 10,
+                                                           field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("n_nodes", "4", "n_nodes must be a whole number, got '4'"),
+        ("m_dim", True, "m_dim must be a whole number, got True"),
+        ("edge", True, "edge [True, 2] endpoint must be a whole number"),
+        ("link", "2", "link entry 2->1 endpoint must be a whole number"),
+    ])
+    def test_boolean_or_string_network_index_is_config_error(self, where, value, message,
+                                                             tmp_path, capsys):
+        net = random_network(3, 4, 2, 0.6, NOISY_RANGES)
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10)
+        data = json.loads((tmp_path / "net.json").read_text())
+        if where == "edge":
+            data["edges"].append([value, 2])
+        elif where == "link":
+            data["links"][0].update({"from": value, "to": 1})
+        else:
+            data[where] = value
+        (tmp_path / "net.json").write_text(json.dumps(data))
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rules, message", [
+        ({"A2": "uniform"}, "unknown rules key 'A2'"),
+        (["a2"], "rules must be a JSON object"),
+        ("uniform", "rules must be a JSON object"),
+    ])
+    def test_malformed_rules_are_config_error(self, rules, message, tmp_path, capsys):
+        net = random_network(3, 4, 2, 0.6, NOISY_RANGES)
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10, rules=rules)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iteration=10)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "unknown scenario key 'iteration'" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("command, output", [("simulate", "curve"), ("theory", "report")])
+    def test_non_string_output_name_is_config_error(self, command, output, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10,
+                             outputs={output: 5})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"outputs.{output} must be a file name, got 5" in capsys.readouterr().err
+
+
 class TestTheory:
     def test_scalar_report_values(self, tmp_path):
         cfg = write_scenario(tmp_path, scalar_network(mu=0.01), runs=1,

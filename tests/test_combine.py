@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from diffnet.combine import (
     matrices_from_rules,
     metropolis,
@@ -12,6 +15,7 @@ from diffnet.combine import (
     weights_from_gamma2,
 )
 from diffnet.network import (
+    CombinationMatrices,
     LinkNoiseProfile,
     NetworkModel,
     NodeProfile,
@@ -20,6 +24,7 @@ from diffnet.network import (
     WeightTrajectory,
     random_network,
 )
+from diffnet.theory import _block_diag, assemble_mean_dynamics, stability_report
 from reference import AdaptiveWeightState, adaptive_update
 
 
@@ -183,6 +188,53 @@ class TestWeightsFromGamma2:
             assert np.allclose(a.sum(axis=0), 1.0, atol=1e-12)
             assert np.all(a >= 0)
             assert np.all(a[~topo.adjacency] == 0)
+
+
+@st.composite
+def topology_and_seed(draw):
+    """Any symmetric pattern on 1..10 nodes (isolated nodes included) and a data seed."""
+    n = draw(st.integers(1, 10))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(bits, dtype=bool).reshape(n, n), k=1)
+    return Topology(n, upper | upper.T | np.eye(n, dtype=bool)), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(topology_and_seed())
+def test_rules_and_theory_blocks_match_per_node_oracles(case):
+    topo, seed = case
+    gen = np.random.default_rng(seed)
+    n = topo.n_nodes
+    assert uniform(topo).tobytes() == reference.uniform(topo).tobytes()
+    assert np.max(np.abs(metropolis(topo) - reference.metropolis(topo))) <= 1e-14
+
+    # per column: no zeros, some zeros, or an all-zero neighborhood; NaN off the
+    # pattern shows that those entries are never read
+    zero_rate = gen.choice([0.0, 0.4, 1.0], size=n)
+    gamma2 = gen.uniform(1e-3, 2.0, (n, n)) * (gen.random((n, n)) >= zero_rate)
+    gamma2[~topo.adjacency] = np.nan
+    got = weights_from_gamma2(topo, gamma2)
+    assert np.max(np.abs(got - reference.weights_from_gamma2(topo, gamma2))) <= 1e-14
+
+    m = 2
+    g = gen.standard_normal((n, m, 2 * m)) + 1j * gen.standard_normal((n, m, 2 * m))
+    n_links = len(topo.link_table())
+    ln = LinkNoiseProfile.zeros(n_links, m)
+    ln.r_u_link = gen.uniform(0.0, 0.1, n_links)[:, None, None] * np.eye(m, dtype=complex)
+    net = NetworkModel(
+        topology=topo,
+        nodes=NodeProfile(m_dim=m, r_u=g @ g.conj().swapaxes(1, 2) / (2 * m),
+                          sigma_v2=gen.uniform(0.01, 0.1, n), mu=gen.uniform(0.01, 0.8, n)),
+        link_noise=ln,
+        weights=WeightTrajectory(mode="constant", w0=np.ones(m, dtype=complex)),
+    )
+    mats = CombinationMatrices(a1=np.eye(n), c=uniform(topo).T, a2=metropolis(topo))
+    md = assemble_mean_dynamics(net, mats)
+    assert abs(stability_report(md).rho_spectral_bound - reference.rho_spectral_bound(md)) <= 1e-14
+    want = np.zeros((n * m, n * m), dtype=complex)
+    for k in range(n):
+        want[k * m:(k + 1) * m, k * m:(k + 1) * m] = md.r_prime[k]
+    assert np.array_equal(_block_diag(md.r_prime), want)
 
 
 class TestAdaptiveRule:

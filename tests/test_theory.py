@@ -21,15 +21,14 @@ from diffnet.theory import (
     assemble_mean_dynamics,
     assemble_noise_moments,
     bias,
-    block_max_norm,
     network_metrics,
-    series_emse,
     series_msd,
     stability_report,
     step_size_bounds,
     theory_report,
     tracking_metrics,
 )
+from reference import block_max_norm, series_emse
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
