@@ -47,7 +47,6 @@ from .simulate import (
 from .theory import (
     InstabilityError,
     MeanDynamics,
-    NoiseMoments,
     StabilityInfo,
     StepSizeBounds,
     TheoryReport,

@@ -38,6 +38,7 @@ from .network import (
 from .simulate import (
     RngPolicy,
     SimulationOptions,
+    _resolve_mode,
     curve_to_csv,
     run_monte_carlo,
     steady_state_level,
@@ -61,6 +62,8 @@ class ConfigError(Exception):
 
 SCENARIO_KEYS = ("name", "network", "rules", "runs", "iterations", "seed", "nu", "mode", "outputs")
 RULE_SLOTS = ("a1", "c", "a2")
+OUTPUT_DEFAULTS = {"curve": "curve.csv", "trajectory": None, "report": "report.json",
+                "compare": "compare.csv"}
 
 
 def _object(value, what: str, keys=None) -> dict:
@@ -99,7 +102,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"scenario file is not valid JSON: {exc}")
     _object(data, "scenario", SCENARIO_KEYS)
     rules = _object(data.get("rules", {}), "rules", RULE_SLOTS)
-    outputs = _object(data.get("outputs", {}), "outputs")
+    outputs = _object(data.get("outputs", {}), "outputs", tuple(OUTPUT_DEFAULTS))
     for key, value in outputs.items():
         if not isinstance(value, str):
             raise ConfigError(f"outputs.{key} must be a file name, got {value!r}")
@@ -126,8 +129,12 @@ def load_scenario(path) -> ScenarioConfig:
     report = validate(network)
     if not report.ok:
         raise ConfigError(f"network failed validation:\n{report}")
+    nu = data.get("nu", 0.05)
+    if not isinstance(nu, float) or not 0.0 < nu < 1.0:
+        raise ConfigError(f"forgetting factor nu must be a JSON number in (0, 1), got {nu!r}")
 
     try:
+        _resolve_mode(network, data.get("mode"))
         cfg = ScenarioConfig(
             name=str(data.get("name", path.stem)),
             network=network,
@@ -135,7 +142,7 @@ def load_scenario(path) -> ScenarioConfig:
             runs=_whole(data.get("runs", 50), "runs", least=1),
             iterations=_whole(data.get("iterations", 3000), "iterations", least=1),
             seed=_whole(data.get("seed", 0), "seed", least=0),
-            nu=float(data.get("nu", 0.05)),
+            nu=nu,
             mode=data.get("mode"),
             outputs=dict(outputs),
             base_dir=base_dir,
@@ -254,6 +261,25 @@ def _out_dir(args, scenario: ScenarioConfig | None = None) -> Path:
     return out
 
 
+def _output_paths(args, scenario: ScenarioConfig, keys) -> dict[str, Path]:
+    """The checked file of each output in ``keys`` that has a name or a default."""
+    out = _out_dir(args, scenario)
+    paths = {}
+    for key in keys:
+        name = scenario.outputs.get(key, OUTPUT_DEFAULTS[key])
+        if name is None:
+            continue
+        path = out / name
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"outputs.{key}: cannot create the directory of {path}: {exc}")
+        if path.is_dir():
+            raise ConfigError(f"outputs.{key} must name a file, got {name!r}")
+        paths[key] = path
+    return paths
+
+
 def cmd_gen_scenario(args) -> int:
     out = _out_dir(args)
     network, scen = PRESETS[args.preset](args.seed)
@@ -311,17 +337,15 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     _apply_overrides(scenario, args)
     matrices, adaptive = _build_matrices(scenario)
-    want_traj = bool(scenario.outputs.get("trajectory"))
+    paths = _output_paths(args, scenario, ("curve", "trajectory"))
+    want_traj = "trajectory" in paths
     curve = _simulate_curve(scenario, matrices, adaptive, want_traj)
 
-    out = _out_dir(args, scenario)
-    curve_path = out / scenario.outputs.get("curve", "curve.csv")
-    curve_to_csv(curve, curve_path)
-    print(f"wrote {curve_path}")
+    curve_to_csv(curve, paths["curve"])
+    print(f"wrote {paths['curve']}")
     if want_traj and curve.avg_estimate is not None:
-        traj_path = out / scenario.outputs["trajectory"]
-        trajectory_to_csv(curve, traj_path)
-        print(f"wrote {traj_path}")
+        trajectory_to_csv(curve, paths["trajectory"])
+        print(f"wrote {paths['trajectory']}")
 
     print(f"runs: {curve.runs}  divergent: {curve.divergent_runs}")
     if curve.divergent_runs == curve.runs:
@@ -344,11 +368,9 @@ def cmd_theory(args) -> int:
             "steady-state theory is undefined for the adaptive rule; "
             "use 'compare --simulate' to evaluate it"
         )
-    report = theory_report(scenario.network, matrices)
-    data = report.to_dict()
+    report_path = _output_paths(args, scenario, ("report",))["report"]
+    data = theory_report(scenario.network, matrices).to_dict()
 
-    out = _out_dir(args, scenario)
-    report_path = out / scenario.outputs.get("report", "report.json")
     with open(report_path, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
@@ -388,6 +410,7 @@ def cmd_compare(args) -> int:
     if len(rule_names) < 2:
         raise ConfigError("compare needs at least two rules")
     slot = _infer_sweep_slot(scenario.rules)
+    csv_path = _output_paths(args, scenario, ("compare",))["compare"]
 
     rows = []
     for rule in rule_names:
@@ -439,8 +462,6 @@ def cmd_compare(args) -> int:
               f"{_fmt_db(row['theory_emse_db']):>12} {_fmt_db(row['sim_msd_db']):>10}"
               + (f"  {row['note']}" if row["note"] else ""))
 
-    out = _out_dir(args, scenario)
-    csv_path = out / scenario.outputs.get("compare", "compare.csv")
     with open(csv_path, "w") as fh:
         fh.write("rule,theory_msd_db,theory_emse_db,sim_msd_db,divergent_runs\n")
         for row in rows:

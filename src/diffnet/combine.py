@@ -31,11 +31,8 @@ __all__ = [
     "relative_variance",
     "relative_variance_gamma2",
     "weights_from_gamma2",
-    "RULE_NAMES",
     "matrices_from_rules",
 ]
-
-RULE_NAMES = ("metropolis", "uniform", "relative_variance", "adaptive", "identity")
 
 
 def metropolis(topology: Topology) -> np.ndarray:
@@ -96,10 +93,13 @@ def _load_matrix_file(path, n: int) -> np.ndarray:
     import json
 
     with open(path) as fh:
-        mat = np.array(json.load(fh), dtype=float)
+        mat = np.array(json.load(fh), dtype=object)
+    # exact types, so that booleans and strings are refused rather than converted
+    if mat.ndim != 2 or any(type(x) not in (int, float) for x in mat.flat):
+        raise ValueError(f"matrix file {path} must hold a JSON array of rows of numbers")
     if mat.shape != (n, n):
         raise ValueError(f"matrix file {path} has shape {mat.shape}, expected ({n}, {n})")
-    return mat
+    return mat.astype(float)
 
 
 def matrices_from_rules(network: NetworkModel, rules: dict, base_dir=None) -> tuple[CombinationMatrices, bool]:

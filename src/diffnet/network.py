@@ -399,6 +399,8 @@ def validate_matrices(topology: Topology, matrices: CombinationMatrices) -> Vali
         if mat.shape != (n, n):
             rep.add(f"{name} has shape {mat.shape}, expected ({n}, {n})")
             continue
+        if not _check_finite(rep, name, mat):
+            continue
         if np.any(mat < 0):
             rep.add(f"{name} has negative entries")
         sums = mat.sum(axis=axis)
@@ -506,8 +508,8 @@ def random_network(seed: int, n_nodes: int, m_dim: int, connectivity: float,
 # JSON serialization (1-based indices, complex numbers as [re, im] pairs)
 
 
-def _complex_matrix_to_pairs(mat: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(mat, dtype=complex).reshape(-1)
+def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
+    flat = np.asarray(values, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
@@ -516,10 +518,6 @@ def _pairs_to_complex_matrix(pairs, m_dim: int) -> np.ndarray:
     if flat.size != m_dim * m_dim:
         raise ValueError(f"expected {m_dim * m_dim} complex entries, got {flat.size}")
     return flat.reshape(m_dim, m_dim)
-
-
-def _complex_vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
 def _pairs_to_complex_vector(pairs) -> np.ndarray:
@@ -538,16 +536,16 @@ def network_to_dict(network: NetworkModel) -> dict:
             link_entries.append({
                 "from": l + 1,
                 "to": k + 1,
-                "r_w": _complex_matrix_to_pairs(ln.r_w[p]),
+                "r_w": _complex_to_pairs(ln.r_w[p]),
                 "sigma_d2": float(ln.sigma_d2[p]),
-                "r_u_link": _complex_matrix_to_pairs(ln.r_u_link[p]),
-                "r_psi": _complex_matrix_to_pairs(ln.r_psi[p]),
+                "r_u_link": _complex_to_pairs(ln.r_u_link[p]),
+                "r_psi": _complex_to_pairs(ln.r_psi[p]),
             })
 
     w = network.weights
-    weights: dict = {"mode": w.mode, "w0": _complex_vector_to_pairs(w.w0)}
+    weights: dict = {"mode": w.mode, "w0": _complex_to_pairs(w.w0)}
     if w.mode == "random_walk":
-        weights["r_eta"] = _complex_matrix_to_pairs(w.r_eta)
+        weights["r_eta"] = _complex_to_pairs(w.r_eta)
     elif w.mode == "rotation":
         weights["omega"] = float(w.omega)
 
@@ -559,7 +557,7 @@ def network_to_dict(network: NetworkModel) -> dict:
             {
                 "mu": float(network.nodes.mu[k]),
                 "sigma_v2": float(network.nodes.sigma_v2[k]),
-                "r_u": _complex_matrix_to_pairs(network.nodes.r_u[k]),
+                "r_u": _complex_to_pairs(network.nodes.r_u[k]),
             }
             for k in range(topo.n_nodes)
         ],

@@ -267,8 +267,7 @@ class LearningCurve:
         return len(self.msd)
 
 
-def _resolve_mode(network: NetworkModel, options: SimulationOptions) -> str:
-    mode = options.mode
+def _resolve_mode(network: NetworkModel, mode: str | None) -> str:
     if mode is None:
         mode = {"constant": "stationary"}.get(network.weights.mode, network.weights.mode)
     if mode not in _MODES:
@@ -472,7 +471,7 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
     for name in ("chunk_size", "threads"):
         if getattr(options, name) < 1:
             raise ValueError(f"{name} must be at least 1")
-    mode = _resolve_mode(network, options)
+    mode = _resolve_mode(network, options.mode)
     op = StepOperator(network, matrices)
     n, m = op.n, op.m
 

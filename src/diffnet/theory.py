@@ -3,13 +3,18 @@
 Everything here works on the stacked network error vector (node-major, M
 coordinates per node). The central objects are the mean-transition matrix B,
 the mean driving vector z induced by regressor link noise (it biases the
-mean), and the second-order noise moments W feeding the steady-state metric
+mean to g), and the numerator W of the steady-state metric
 
     value = tr(X omega),   X = B X B^H + W  (a Stein / discrete Lyapunov equation),
 
-solved by squared Smith doubling (R. A. Smith, SIAM J. Appl. Math. 16(1),
-1968) with NM x NM products only. Network MSD uses weighting I/N, network
-EMSE the block-diagonal regressor covariance over N.
+    W = A2^T [R_w + M (C^T S C + T + z z^H) M - A1^T g z^H M - M z g^H A1] A2 + R_psi,
+
+with NM x NM lifts: S gradient noise, T shared-data noise, R_w and R_psi link
+noise on estimates and intermediate estimates, M step sizes. A random-walk
+target adds R_zeta = 1 1^T (x) R_eta. X is solved by squared Smith doubling
+(R. A. Smith, SIAM J. Appl. Math. 16(1), 1968) with NM x NM products only.
+Network MSD uses weighting I/N, network EMSE the block-diagonal regressor
+covariance over N.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .network import CombinationMatrices, NetworkModel
 __all__ = [
     "InstabilityError",
     "MeanDynamics",
-    "NoiseMoments",
     "StepSizeBounds",
     "StabilityInfo",
     "TrackingMetrics",
@@ -186,25 +190,12 @@ def step_size_bounds(network: NetworkModel, matrices: CombinationMatrices,
                           noise_free=noise_free, c_doubly_stochastic=doubly)
 
 
-@dataclass
-class NoiseMoments:
-    """Second-order moments of the aggregated perturbations.
-
-    s: block-diagonal gradient-noise covariance from own measurements.
-    r_v: covariance of all additive terms entering the error recursion: link
-       noise on exchanged estimates and intermediate estimates, the extra
-       covariance from sharing noisy data, and the regressor-noise drift.
-    y: cross-moment between the error and the additive noise (zero without
-       regressor link noise).
-    """
-
-    s: np.ndarray
-    r_v: np.ndarray
-    y: np.ndarray
-
-
 def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
-                           mean_dynamics: MeanDynamics | None = None) -> NoiseMoments:
+                           mean_dynamics: MeanDynamics | None = None) -> np.ndarray:
+    """The numerator W of the steady-state Stein equation, as in the module docstring.
+
+    M is diagonal, so it is applied as a scale; W takes four NM x NM products.
+    """
     md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
     links = network.topology.link_table()
     src, dst = links.src, links.dst
@@ -212,6 +203,7 @@ def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
     r_u = network.nodes.r_u
     sigma_v2 = network.nodes.sigma_v2
     w_o = md.w_o
+    mu = np.diag(md.big_m)
 
     s = _block_diag(sigma_v2[:, None, None] * r_u)
 
@@ -223,25 +215,14 @@ def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
     quad = np.einsum("m,pmq,q->p", w_o.conj(), ln.r_u_link, w_o).real[:, None, None]
     t = link_sum(matrices.c, (sigma_v2[src, None, None] + sd2) * ln.r_u_link
                  + (sd2 + quad) * r_u[src])
-    r_v_w = link_sum(matrices.a1, ln.r_w)
-    r_v_psi = link_sum(matrices.a2, ln.r_psi)
-    zz = np.outer(md.z, md.z.conj())
-
-    a2t = md.a2_lift.T
-    r_v = a2t @ r_v_w @ md.a2_lift + r_v_psi + a2t @ md.big_m @ (t + zz) @ md.big_m @ md.a2_lift
-
-    y = -a2t @ md.a1_lift.T @ np.outer(md.bias_g, md.z.conj()) @ md.big_m @ md.a2_lift
-    return NoiseMoments(s=s, r_v=r_v, y=y)
+    shared = md.c_lift.T @ s @ md.c_lift + t + np.outer(md.z, md.z.conj())
+    cross = np.outer(md.a1_lift.T @ md.bias_g, md.z.conj() * mu)
+    inner = link_sum(matrices.a1, ln.r_w) + mu[:, None] * shared * mu - cross - cross.conj().T
+    return md.a2_lift.T @ inner @ md.a2_lift + link_sum(matrices.a2, ln.r_psi)
 
 
 # ---------------------------------------------------------------------------
 # steady-state metrics
-
-
-def _general_numerator(md: MeanDynamics, nm: NoiseMoments) -> np.ndarray:
-    a2t = md.a2_lift.T
-    core = a2t @ md.big_m @ md.c_lift.T @ nm.s @ md.c_lift @ md.big_m @ md.a2_lift
-    return core + nm.r_v + nm.y + nm.y.conj().T
 
 
 def _check_real(value: complex, context: str) -> float:
@@ -304,12 +285,12 @@ def _omegas(network: NetworkModel) -> list[np.ndarray]:
 def network_metrics(network: NetworkModel, matrices: CombinationMatrices) -> tuple[float, float]:
     """(MSD, EMSE) in linear scale, one Stein solve for both."""
     md = assemble_mean_dynamics(network, matrices)
-    num = _general_numerator(md, assemble_noise_moments(network, matrices, md))
-    msd, emse = _steady_state_values(md, [num], _omegas(network))[0]
+    msd, emse = _steady_state_values(md, [assemble_noise_moments(network, matrices, md)],
+                                     _omegas(network))[0]
     return msd, emse
 
 
-def series_msd(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
+def series_msd(mean_dynamics: MeanDynamics, numerator: np.ndarray,
                weighting: np.ndarray | None = None, tol: float = 1e-9,
                max_terms: int = 10 ** 6):
     """Geometric-series evaluation of the steady-state metric.
@@ -317,7 +298,7 @@ def series_msd(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
     Returns (value, terms_used). Default weighting is I/N (network MSD).
     Stops once the estimated tail drops below ``tol`` relative to the sum.
     """
-    md, nm = mean_dynamics, noise_moments
+    md = mean_dynamics
     if weighting is None:
         weighting = np.eye(md.b.shape[0]) / md.n_nodes
     rho2 = spectral_radius(md.b) ** 2
@@ -325,8 +306,7 @@ def series_msd(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
         raise InstabilityError(
             f"mean-square recursion unstable: rho(B)^2 = {rho2:.6f} >= 1"
         )
-    num = _general_numerator(md, nm)
-    total, terms = _series_accumulate(md.b, num, weighting, rho2, tol, max_terms)
+    total, terms = _series_accumulate(md.b, numerator, weighting, rho2, tol, max_terms)
     return _check_real(total, "steady-state metric (series)"), terms
 
 
@@ -342,35 +322,35 @@ class TrackingMetrics:
     emse_stationary: float
 
 
-def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
-                     r_eta: np.ndarray | None = None, mean_dynamics: MeanDynamics | None = None,
-                     noise_moments: NoiseMoments | None = None) -> TrackingMetrics:
-    """Steady-state metrics when the target performs a random walk.
+def _tracking_numerator(md: MeanDynamics, r_eta: np.ndarray) -> np.ndarray:
+    """R_zeta, the covariance that random-walk target increments add to W.
 
-    The target increments add a rank-structured covariance (every node sees
-    the same increment) to the metric numerator. That covariance must be
-    invariant under the lifted combine steps, which holds whenever A1 and A2
-    are left stochastic; the identity is verified numerically.
+    Every node sees the same increment, so R_zeta is rank structured. It must
+    be invariant under the lifted combine steps, which holds whenever A1 and
+    A2 are left stochastic; the identity is verified numerically.
     """
-    if r_eta is None:
-        r_eta = network.weights.r_eta
-    if r_eta is None:
-        raise ValueError("tracking metrics need r_eta (none on the network)")
-    md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
-    nm = (noise_moments if noise_moments is not None
-          else assemble_noise_moments(network, matrices, md))
-    n = network.n_nodes
+    n = md.n_nodes
     r_zeta = np.kron(np.ones((n, n)), np.asarray(r_eta, dtype=complex))
-
     lhs = md.a2_lift.T @ md.a1_lift.T @ r_zeta @ md.a1_lift @ md.a2_lift
     scale = max(float(np.linalg.norm(r_zeta)), 1.0)
     if float(np.linalg.norm(lhs - r_zeta)) > 1e-10 * scale:
         raise ValueError(
             "tracking correction requires left-stochastic combination matrices"
         )
+    return r_zeta
 
-    num = _general_numerator(md, nm)
-    (msd, emse), (msd_st, emse_st) = _steady_state_values(md, [num + r_zeta, num], _omegas(network))
+
+def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
+                     r_eta: np.ndarray | None = None) -> TrackingMetrics:
+    """Steady-state metrics when the target performs a random walk, and without it."""
+    if r_eta is None:
+        r_eta = network.weights.r_eta
+    if r_eta is None:
+        raise ValueError("tracking metrics need r_eta (none on the network)")
+    md = assemble_mean_dynamics(network, matrices)
+    r_zeta = _tracking_numerator(md, r_eta)
+    w = assemble_noise_moments(network, matrices, md)
+    (msd, emse), (msd_st, emse_st) = _steady_state_values(md, [w + r_zeta, w], _omegas(network))
     return TrackingMetrics(msd=msd, emse=emse, msd_stationary=msd_st, emse_stationary=emse_st)
 
 
@@ -494,19 +474,20 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
     if not stab.mean_square_stable:
         warnings.append(f"mean-square-unstable: rho(B)^2 = {stab.rho_f:.6f}")
     else:
-        nm = assemble_noise_moments(network, matrices, md)
-        num = _general_numerator(md, nm)
+        w = assemble_noise_moments(network, matrices, md)
+        numerators = [w]
+        if network.weights.mode == "random_walk" and network.weights.r_eta is not None:
+            try:
+                numerators.append(w + _tracking_numerator(md, network.weights.r_eta))
+            except ValueError as exc:
+                warnings.append(f"tracking metrics failed: {exc}")
         try:
-            msd, emse = _steady_state_values(md, [num], _omegas(network))[0]
+            values = _steady_state_values(md, numerators, _omegas(network))
+            msd, emse = values[0]
+            if len(values) > 1:
+                msd_track, emse_track = values[1]
         except InstabilityError as exc:
             warnings.append(f"steady-state solve failed: {exc}")
-        if (network.weights.mode == "random_walk"
-                and network.weights.r_eta is not None and msd is not None):
-            try:
-                tm = tracking_metrics(network, matrices, mean_dynamics=md, noise_moments=nm)
-                msd_track, emse_track = tm.msd, tm.emse
-            except (InstabilityError, ValueError) as exc:
-                warnings.append(f"tracking metrics failed: {exc}")
 
     return TheoryReport(stability=stab, bounds=bounds, bias_g=bias_g,
                         msd=msd, emse=emse, msd_track=msd_track,

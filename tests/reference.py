@@ -4,8 +4,10 @@ The engine runs the adaptive combination rule batched over runs and links
 inside ``diffnet.simulate.diffusion_step``; ``diffnet.combine`` builds the
 static rules and ``diffnet.theory`` the stability bound as whole-network
 array operations. The node-at-a-time versions here are what those are
-checked against. The block maximum norm and the series EMSE are analysis
-helpers that only the tests use.
+checked against, and ``noise_numerator`` is the three-term assembly of the
+Stein numerator W that ``diffnet.theory.assemble_noise_moments`` is checked
+against. The block maximum norm and the series EMSE are analysis helpers
+that only the tests use.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diffnet.network import Topology
-from diffnet.theory import MeanDynamics, NoiseMoments, _block_diag, series_msd
+from diffnet.network import CombinationMatrices, NetworkModel, Topology
+from diffnet.theory import MeanDynamics, _block_diag, series_msd
 
 
 @dataclass
@@ -154,14 +156,59 @@ def rho_spectral_bound(md: MeanDynamics) -> float:
 
 
 # ---------------------------------------------------------------------------
+# three-term Stein numerator
+
+
+def noise_numerator(network: NetworkModel, matrices: CombinationMatrices,
+                    md: MeanDynamics) -> np.ndarray:
+    """W as the sum of three second-order moments, each with full NM x NM products.
+
+    s: block-diagonal gradient-noise covariance from own measurements.
+    r_v: covariance of all additive terms entering the error recursion: link
+       noise on exchanged estimates and intermediate estimates, the extra
+       covariance from sharing noisy data, and the regressor-noise drift.
+    y: cross-moment between the error and the additive noise (zero without
+       regressor link noise).
+    """
+    links = network.topology.link_table()
+    src, dst = links.src, links.dst
+    ln = network.link_noise
+    r_u = network.nodes.r_u
+    sigma_v2 = network.nodes.sigma_v2
+    w_o = md.w_o
+
+    s = _block_diag(sigma_v2[:, None, None] * r_u)
+
+    def link_sum(mat, per_link):
+        """Block-diagonal sum over in-links of mat[l, k]^2 * per_link[p]."""
+        return _block_diag(links.segment_sum((mat[src, dst] ** 2)[:, None, None] * per_link, axis=0))
+
+    sd2 = ln.sigma_d2[:, None, None]
+    quad = np.einsum("m,pmq,q->p", w_o.conj(), ln.r_u_link, w_o).real[:, None, None]
+    t = link_sum(matrices.c, (sigma_v2[src, None, None] + sd2) * ln.r_u_link
+                 + (sd2 + quad) * r_u[src])
+    r_v_w = link_sum(matrices.a1, ln.r_w)
+    r_v_psi = link_sum(matrices.a2, ln.r_psi)
+    zz = np.outer(md.z, md.z.conj())
+
+    a2t = md.a2_lift.T
+    r_v = a2t @ r_v_w @ md.a2_lift + r_v_psi + a2t @ md.big_m @ (t + zz) @ md.big_m @ md.a2_lift
+
+    y = -a2t @ md.a1_lift.T @ np.outer(md.bias_g, md.z.conj()) @ md.big_m @ md.a2_lift
+
+    core = a2t @ md.big_m @ md.c_lift.T @ s @ md.c_lift @ md.big_m @ md.a2_lift
+    return core + r_v + y + y.conj().T
+
+
+# ---------------------------------------------------------------------------
 # analysis helpers used only by the tests
 
 
-def series_emse(mean_dynamics: MeanDynamics, noise_moments: NoiseMoments,
+def series_emse(mean_dynamics: MeanDynamics, numerator: np.ndarray,
                 r_u: np.ndarray, tol: float = 1e-9, max_terms: int = 10 ** 6):
     """Series evaluation with the EMSE weighting built from (N, M, M) r_u."""
     omega = _block_diag(r_u) / mean_dynamics.n_nodes
-    return series_msd(mean_dynamics, noise_moments, omega, tol, max_terms)
+    return series_msd(mean_dynamics, numerator, omega, tol, max_terms)
 
 
 def _split_blocks(x: np.ndarray, m_dim: int) -> np.ndarray:

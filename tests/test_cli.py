@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from diffnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, PRESETS, main
+from diffnet.combine import uniform
 from diffnet.network import (
     LinkNoiseProfile,
     NetworkModel,
@@ -271,6 +272,79 @@ class TestScenarioSchema:
                              outputs={output: 5})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert f"outputs.{output} must be a file name, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, outputs, key", [
+        (["simulate"], {"curve": ""}, "curve"),
+        (["simulate"], {"trajectory": "taken"}, "trajectory"),
+        (["theory"], {"report": "taken"}, "report"),
+        (["compare", "--rules", "uniform,metropolis", "--simulate"], {"compare": ""}, "compare"),
+        (["theory"], {"curves": "c.csv"}, "curves"),
+    ])
+    def test_unusable_output_name_is_config_error_before_any_work(
+            self, command, outputs, key, tmp_path, capsys, monkeypatch):
+        import diffnet.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its output paths")
+
+        for name in ("run_monte_carlo", "theory_report", "network_metrics"):
+            monkeypatch.setattr(diffnet.cli, name, no_work)
+        (tmp_path / "taken").mkdir()
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10, outputs=outputs)
+        assert main(command + ["--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (f"outputs key '{key}'" if key == "curves" else f"outputs.{key}") in err
+
+    @pytest.mark.parametrize("command, outputs", [
+        (["simulate"], {"curve": "sub/c.csv", "trajectory": "sub/deeper/t.csv"}),
+        (["theory"], {"report": "sub/r.json"}),
+        (["compare", "--rules", "uniform,metropolis"], {"compare": "sub/c.csv"}),
+    ])
+    def test_missing_output_directories_are_created(self, command, outputs, tmp_path):
+        net = scalar_network()
+        net.weights = WeightTrajectory(mode="rotation", w0=net.weights.w0, omega=0.01)
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10, outputs=outputs)
+        assert main(command + ["--config", str(cfg)]) == EXIT_OK
+        for name in outputs.values():
+            assert (tmp_path / name).is_file()
+
+    @pytest.mark.parametrize("command", [["theory"], ["compare", "--rules", "uniform,metropolis"]])
+    @pytest.mark.parametrize("mode, message", [
+        ("spiral", "unknown simulation mode 'spiral'"),
+        ("random_walk", "random_walk mode requires the network to carry r_eta"),
+        ("rotation", "rotation mode requires the network to carry omega"),
+    ])
+    def test_mode_the_network_cannot_run_is_config_error(self, command, mode, message,
+                                                         tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10, mode=mode)
+        assert main(command + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nu", ["0.05", True, 1.0, 0, -0.5, float("inf")])
+    def test_forgetting_factor_is_read_by_kind_and_range(self, nu, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10, nu=nu)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "forgetting factor nu" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    @pytest.mark.parametrize("entry, message", [
+        (lambda value: float("nan"), "A2 is not finite"),
+        (repr, "must hold a JSON array of rows of numbers"),
+        (lambda value: value == 1.0, "must hold a JSON array of rows of numbers"),
+    ], ids=["nan", "string", "boolean"])
+    def test_bad_combination_matrix_file_is_config_error(self, command, entry, message,
+                                                         tmp_path, capsys):
+        """The string and the boolean would convert to the very weight they replace."""
+        net = random_network(3, 4, 2, 0.6, NOISY_RANGES)
+        a2 = np.eye(4).tolist()
+        a2[0][0] = entry(a2[0][0])
+        (tmp_path / "a2.json").write_text(json.dumps(a2))
+        cfg = write_scenario(tmp_path, net, runs=2, iterations=20,
+                             rules={"a2": "file:a2.json"})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in ("curve.csv", "report.json"))
 
 
 class TestTheory:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffnet.combine import metropolis, uniform
 from diffnet.linalg import kron_lift, spectral_radius
@@ -15,8 +17,8 @@ from diffnet.network import (
 )
 from diffnet import theory
 from diffnet.theory import (
-    _general_numerator,
     _stein_solve,
+    _tracking_numerator,
     InstabilityError,
     assemble_mean_dynamics,
     assemble_noise_moments,
@@ -28,7 +30,7 @@ from diffnet.theory import (
     theory_report,
     tracking_metrics,
 )
-from reference import block_max_norm, series_emse
+from reference import block_max_norm, noise_numerator, series_emse
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -235,6 +237,34 @@ class TestSteadyState:
         assert worse > base
 
 
+def rule_set(kind, topo, n, sharing):
+    """ATC, CTA or both combine steps, with or without data sharing through C."""
+    eye = np.eye(n)
+    a1, a2 = {"atc": (eye, uniform(topo)), "cta": (uniform(topo), eye),
+              "both": (metropolis(topo), uniform(topo))}[kind]
+    return CombinationMatrices(a1=a1, c=uniform(topo).T if sharing else eye, a2=a2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 6), st.integers(1, 3),
+       st.sampled_from(["atc", "cta", "both"]), st.booleans(), st.booleans(), st.booleans())
+def test_numerator_matches_three_term_assembly(seed, n, m, kind, sharing, regressor_noise,
+                                               random_walk):
+    """Regressor link noise reaches W (through z and the bias) only when C shares data."""
+    net = random_network(seed, n, m, 0.6, NOISY_RANGES)
+    if not regressor_noise:
+        net.link_noise.r_u_link[:] = 0.0
+    mats = rule_set(kind, net.topology, n, sharing)
+    md = assemble_mean_dynamics(net, mats)
+    want = noise_numerator(net, mats, md)
+    got = assemble_noise_moments(net, mats, md)
+    if random_walk:
+        r_eta = 1e-4 * random_psd(np.random.default_rng(seed), m)
+        want = want + np.kron(np.ones((n, n)), r_eta)
+        got = got + _tracking_numerator(md, r_eta)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def random_psd(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return g @ g.conj().T / dim
@@ -247,9 +277,8 @@ class TestSteinSolver:
         net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
                                        r_eta=1e-4 * np.eye(2, dtype=complex))
         md = assemble_mean_dynamics(net, mats)
-        nm = assemble_noise_moments(net, mats, md)
         n = net.n_nodes
-        num = _general_numerator(md, nm)
+        num = assemble_noise_moments(net, mats, md)
         tracking_num = num + np.kron(np.ones((n, n)), net.weights.r_eta)
         omegas = theory._omegas(net)
         xs = _stein_solve(md.b, [num, tracking_num], md.rho_b)
@@ -449,7 +478,7 @@ class TestTheoryReport:
         net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
                                        r_eta=1e-5 * np.eye(2, dtype=complex))
         mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
-        calls = {"mean": 0, "noise": 0, "radius": 0, "bias": 0}
+        calls = {"mean": 0, "noise": 0, "radius": 0, "bias": 0, "stein": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -463,9 +492,10 @@ class TestTheoryReport:
                             counted("noise", theory.assemble_noise_moments))
         monkeypatch.setattr(theory, "spectral_radius", counted("radius", theory.spectral_radius))
         monkeypatch.setattr(theory, "bias", counted("bias", theory.bias))
+        monkeypatch.setattr(theory, "_stein_solve", counted("stein", theory._stein_solve))
         report = theory_report(net, mats)
         assert report.msd_track is not None
-        assert calls == {"mean": 1, "noise": 1, "radius": 1, "bias": 1}
+        assert calls == {"mean": 1, "noise": 1, "radius": 1, "bias": 1, "stein": 1}
 
     def test_stable_scalar_report(self):
         net = scalar_network(mu=0.01)
@@ -511,9 +541,14 @@ class TestTheoryReport:
         net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
                                        r_eta=1e-5 * np.eye(2, dtype=complex))
         mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
-        out = theory_report(net, mats).to_dict()
+        report = theory_report(net, mats)
+        out = report.to_dict()
         assert out["msd_track_db"] > out["msd_db"]
         assert out["emse_track_db"] > out["emse_db"]
+        tm = tracking_metrics(net, mats)
+        assert (report.msd_track, report.emse_track) == pytest.approx((tm.msd, tm.emse), rel=1e-12)
+        assert (report.msd, report.emse) == pytest.approx(
+            (tm.msd_stationary, tm.emse_stationary), rel=1e-12)
 
 
 def test_package_root_names_are_in_submodule_all():
