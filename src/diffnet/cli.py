@@ -369,7 +369,9 @@ def cmd_theory(args) -> int:
             "use 'compare --simulate' to evaluate it"
         )
     report_path = _output_paths(args, scenario, ("report",))["report"]
-    data = theory_report(scenario.network, matrices).to_dict()
+    net = scenario.network  # analysed with the target mode the engine would simulate
+    net = replace(net, weights=replace(net.weights, mode=_resolve_mode(net, scenario.mode)))
+    data = theory_report(net, matrices).to_dict()
 
     with open(report_path, "w") as fh:
         json.dump(data, fh, indent=2)

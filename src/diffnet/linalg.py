@@ -18,11 +18,13 @@ __all__ = [
 ]
 
 
-def crandn(gen: np.random.Generator, shape) -> np.ndarray:
-    """Draw circular complex standard normal samples (E|x|^2 = 1)."""
-    re = gen.standard_normal(shape)
-    im = gen.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+def crandn(gen: np.random.Generator, shape=(), *, out: np.ndarray | None = None) -> np.ndarray:
+    """Draw circular complex standard normals (E|x|^2 = 1), into ``out`` (any view) if given."""
+    out = np.empty(shape, dtype=complex) if out is None else out
+    re, im = gen.standard_normal((2,) + out.shape)  # all real parts, then all imaginary parts
+    np.multiply(re, 1.0 / np.sqrt(2.0), out=out.real)
+    np.multiply(im, 1.0 / np.sqrt(2.0), out=out.imag)
+    return out
 
 
 def psd_factor(r: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,14 +79,20 @@ class LinkTable:
         That axis becomes a node axis, zero at nodes without in-links; the
         other axes, leading batch axes included, pass through.
         """
-        fed = self.starts[:-1] < self.starts[1:]
-        if fed.all():
-            return np.add.reduceat(values, self.starts[:-1], axis=axis)
+        heads, fed = self._heads
+        if fed is None:
+            return np.add.reduceat(values, heads, axis=axis)
         # reduceat returns values[start] for an empty segment and rejects start == L
         moved = np.moveaxis(values, axis, 0)
         out = np.zeros((len(fed),) + moved.shape[1:], dtype=values.dtype)
-        out[fed] = np.add.reduceat(moved, self.starts[:-1][fed], axis=0)
+        out[fed] = np.add.reduceat(moved, heads, axis=0)
         return np.moveaxis(out, 0, axis)
+
+    @cached_property
+    def _heads(self):
+        """First in-link of each fed receiver, and the fed mask (None if all are fed)."""
+        fed = self.starts[:-1] < self.starts[1:]
+        return self.starts[:-1][fed], None if fed.all() else fed
 
 
 @dataclass
@@ -372,18 +379,17 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         rep.add(f"w0 has shape {np.asarray(w.w0).shape}, expected ({m},)")
     else:
         _check_finite(rep, "w0", [w.w0])
-    if w.mode == "random_walk":
-        if w.r_eta is None:
-            rep.add("random_walk mode requires r_eta")
-        elif np.asarray(w.r_eta).shape != (m, m):
-            rep.add(f"r_eta has shape {np.asarray(w.r_eta).shape}, expected ({m}, {m})")
-        elif _check_finite(rep, "r_eta", [w.r_eta]):
-            _check_cov(rep, "r_eta", [w.r_eta])
-    if w.mode == "rotation":
-        if w.omega is None:
-            rep.add("rotation mode requires omega")
-        else:
-            _check_finite(rep, "omega", [w.omega])
+    # r_eta and omega are checked whenever present: a scenario may force their mode
+    if w.mode == "random_walk" and w.r_eta is None:
+        rep.add("random_walk mode requires r_eta")
+    elif w.r_eta is not None and np.asarray(w.r_eta).shape != (m, m):
+        rep.add(f"r_eta has shape {np.asarray(w.r_eta).shape}, expected ({m}, {m})")
+    elif w.r_eta is not None and _check_finite(rep, "r_eta", [w.r_eta]):
+        _check_cov(rep, "r_eta", [w.r_eta])
+    if w.mode == "rotation" and w.omega is None:
+        rep.add("rotation mode requires omega")
+    elif w.omega is not None:
+        _check_finite(rep, "omega", [w.omega])
 
     if matrices is not None:
         rep.violations += validate_matrices(topo, matrices).violations
@@ -544,9 +550,9 @@ def network_to_dict(network: NetworkModel) -> dict:
 
     w = network.weights
     weights: dict = {"mode": w.mode, "w0": _complex_to_pairs(w.w0)}
-    if w.mode == "random_walk":
+    if w.r_eta is not None:
         weights["r_eta"] = _complex_to_pairs(w.r_eta)
-    elif w.mode == "rotation":
+    if w.omega is not None:
         weights["omega"] = float(w.omega)
 
     return {
@@ -624,8 +630,9 @@ def network_from_dict(data: dict) -> NetworkModel:
     weights = WeightTrajectory(
         mode=mode,
         w0=_pairs_to_complex_vector(wd["w0"]),
-        r_eta=_pairs_to_complex_matrix(wd["r_eta"], m) if mode == "random_walk" else None,
-        omega=float(wd["omega"]) if mode == "rotation" else None,
+        r_eta=(_pairs_to_complex_matrix(wd["r_eta"], m)
+               if mode == "random_walk" or "r_eta" in wd else None),
+        omega=float(wd["omega"]) if mode == "rotation" or "omega" in wd else None,
     )
     return NetworkModel(topology=topo, nodes=nodes, link_noise=ln, weights=weights)
 

@@ -10,8 +10,10 @@ measurements, regressors) act only on cross links.
 Reproducibility contract: every (run, node, noise-source) triple owns an
 independent RNG stream derived from the master seed, link noise being owned
 by the receiving node. Curves are bit-identical for a fixed master seed
-regardless of the thread count; runs are reduced in run-index order. Noise
-is drawn in fixed windows of ``WINDOW`` iterations per stream.
+whatever the thread count, ``chunk_size`` or the length ``BLOCK`` of the
+iteration blocks over which the curves are reduced; runs are reduced in
+run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
+per stream, straight into the window buffers.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -51,6 +53,7 @@ _SOURCE_IDS = {"u": 0, "v": 1, "eta": 2, "w": 3, "psi": 4, "d": 5, "u_link": 6}
 _MODES = ("stationary", "random_walk", "rotation")
 
 WINDOW = 256  # iterations of noise drawn per batch; part of the realization
+BLOCK = 8  # iterations per curve reduction, output-neutral; kept under the 128 KiB mmap threshold
 DIVERGENCE_THRESHOLD = 1e12  # squared node error above which a run counts as divergent
 
 
@@ -161,13 +164,15 @@ class StepOperator:
         mu = network.nodes.mu
         self.a1_identity, self.a2_identity = (np.array_equal(a, np.eye(self.n))
                                               for a in (matrices.a1, matrices.a2))
-        self.a1_self, self.a2_self = np.diag(matrices.a1), np.diag(matrices.a2)
-        self.a1_link, self.a2_link = matrices.a1[self.src, self.dst], matrices.a2[self.src, self.dst]
-        self.c_link = mu[self.dst] * matrices.c[self.src, self.dst]
+        # complex, as numpy would cast them on every product with the complex state
+        a1, a2 = matrices.a1 + 0j, matrices.a2 + 0j
+        self.a1_self, self.a2_self = np.diag(a1), np.diag(a2)
+        self.a1_link, self.a2_link = a1[self.src, self.dst], a2[self.src, self.dst]
+        self.c_link = mu[self.dst] * matrices.c[self.src, self.dst] + 0j
         self.need_v_w = bool(np.any(self.a1_link))
         self.need_v_psi_static = bool(np.any(self.a2_link))
         self.c_cross = bool(np.any(self.c_link))
-        self.mu_c_diag = (mu * np.diag(matrices.c))[:, None]
+        self.mu_c_diag = (mu * np.diag(matrices.c))[:, None] + 0j
 
     def received(self, x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
         """What each link delivers: the sender's row of ``x`` plus the link noise."""
@@ -357,7 +362,7 @@ class _Sampler:
             for k, gen in enumerate(g[source]):
                 lo, hi = starts[k], starts[k + 1]
                 if hi > lo:
-                    z[i, :, lo:hi] = crandn(gen, (t, hi - lo) + tail)
+                    crandn(gen, out=z[i, :, lo:hi])
         return z
 
     def window(self, t: int) -> dict:
@@ -367,14 +372,16 @@ class _Sampler:
         zv = self._buffer("v", t, (n,))
         for i, g in enumerate(self.gens):
             for k in range(n):
-                zu[i, :, k, :] = crandn(g["u"][k], (t, self.m))
-                zv[i, :, k] = crandn(g["v"][k], (t,))
+                crandn(g["u"][k], out=zu[i, :, k])
+                crandn(g["v"][k], out=zv[i, :, k])
         out = {
             "u": self.colour_u(zu),
             "v": np.multiply(zv, self.sig_v, out=zv),
         }
         if self.mode == "random_walk":
-            zeta = np.stack([crandn(g["eta"], (t, self.m)) for g in self.gens])
+            zeta = self._buffer("zeta", t, (self.m,))
+            for i, g in enumerate(self.gens):
+                crandn(g["eta"], out=zeta[i])
             out["eta"] = np.einsum("rtm,pm->rtp", zeta, self.chol_eta.conj(),
                                    out=self._buffer("eta", t, (self.m,)))
         vec = (self.m,)
@@ -411,42 +418,48 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
     wtrue_traj = (np.empty((r, iterations, m), dtype=complex)
                   if options.record_trajectory else None)
 
+    # w_seen[:, 0] holds the estimates entering a block, w_seen[:, j + 1] those
+    # after its step j, and true_seen[:, j] the target of step j
+    w_seen = np.empty((r, BLOCK + 1, n, m), dtype=complex)
+    w_seen[:, 0] = state.w
+    true_seen = np.empty((r, BLOCK, m), dtype=complex)
+
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < iterations:
             t_win = min(WINDOW, iterations - done)
             draws = sampler.window(t_win)
             for t in range(t_win):
-                i = done + t
                 if mode == "random_walk":
                     w_true = w_true + draws["eta"][:, t]
                 elif mode == "rotation":
                     w_true = w_true * phase
-                u_t = draws["u"][:, t]
-                err_prev = w_true[:, None, :] - state.w
-                emse[:, i] = np.mean(
-                    np.abs(np.einsum("rkm,rkm->rk", u_t, err_prev)) ** 2, axis=1
-                )
-                data = StepData(
-                    u=u_t,
-                    v=draws["v"][:, t],
-                    w_true=w_true,
-                    v_w=draws["v_w"][:, t] if "v_w" in draws else None,
-                    v_psi=draws["v_psi"][:, t] if "v_psi" in draws else None,
-                    v_d=draws["v_d"][:, t] if "v_d" in draws else None,
-                    v_u=draws["v_u"][:, t] if "v_u" in draws else None,
-                )
+                data = StepData(w_true=w_true, **{key: x[:, t] for key, x in draws.items()
+                                                  if key != "eta"})
                 state = diffusion_step(state, op, data)
-                err = w_true[:, None, :] - state.w
+                j = t % BLOCK
+                w_seen[:, j + 1] = state.w
+                true_seen[:, j] = w_true
+                if j + 1 < BLOCK and t + 1 < t_win:
+                    continue
+                # the block's metrics, each reduced over the same axes as one
+                # iteration's would be, so the curves do not depend on BLOCK
+                b, lo, hi = j + 1, done + t - j, done + t + 1
+                target = true_seen[:, :b, None, :]
+                u = draws["u"][:, t - j:t + 1]
+                emse[:, lo:hi] = np.mean(
+                    np.abs(np.einsum("rtkm,rtkm->rtk", u, target - w_seen[:, :b])) ** 2, axis=2)
+                err = target - w_seen[:, 1:b + 1]
                 err2 = np.sum(np.abs(err) ** 2, axis=-1)
-                msd[:, i] = np.mean(err2, axis=1)
-                node_max = np.max(err2, axis=1)
-                bad |= ~np.isfinite(node_max) | (node_max > DIVERGENCE_THRESHOLD)
+                msd[:, lo:hi] = np.mean(err2, axis=2)
+                node_max = np.max(err2, axis=2)
+                bad |= np.any(~np.isfinite(node_max) | (node_max > DIVERGENCE_THRESHOLD), axis=1)
                 if err_traj is not None:
-                    err_traj[:, i] = err
+                    err_traj[:, lo:hi] = err
                 if wbar is not None:
-                    wbar[:, i] = np.mean(state.w, axis=1)
-                    wtrue_traj[:, i] = w_true
+                    wbar[:, lo:hi] = np.mean(w_seen[:, 1:b + 1], axis=2)
+                    wtrue_traj[:, lo:hi] = true_seen[:, :b]
+                w_seen[:, 0] = state.w
             done += t_win
     return {"msd": msd, "emse": emse, "bad": bad, "err": err_traj,
             "wbar": wbar, "wtrue": wtrue_traj}

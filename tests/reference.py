@@ -6,8 +6,12 @@ static rules and ``diffnet.theory`` the stability bound as whole-network
 array operations. The node-at-a-time versions here are what those are
 checked against, and ``noise_numerator`` is the three-term assembly of the
 Stein numerator W that ``diffnet.theory.assemble_noise_moments`` is checked
-against. The block maximum norm and the series EMSE are analysis helpers
-that only the tests use.
+against. ``simulate_chunk`` is the engine's chunk loop with its learning-curve
+metrics computed one iteration at a time, the oracle for the block-wise
+reduction in ``diffnet.simulate._simulate_chunk``; ``crandn_two_draws`` is
+the complex sampler as two separate real draws and a complex division. The
+block maximum norm and the series EMSE are analysis helpers that only the
+tests use.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from diffnet.network import CombinationMatrices, NetworkModel, Topology
+from diffnet.simulate import (DIVERGENCE_THRESHOLD, WINDOW, DiffusionState, StepData,
+                              _Sampler, diffusion_step)
 from diffnet.theory import MeanDynamics, _block_diag, series_msd
 
 
@@ -276,3 +282,72 @@ def _power_ascent(blocks: np.ndarray, iters: int = 80, restarts: int = 4) -> flo
             keep = nrm <= 1e-300
             x = np.where(keep[:, None], x, x_new / np.where(keep, 1.0, nrm)[:, None])
     return best
+
+
+def crandn_two_draws(gen: np.random.Generator, shape) -> np.ndarray:
+    re = gen.standard_normal(shape)
+    im = gen.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def simulate_chunk(network, op, mode, options, policy, runs, iterations):
+    """Same arguments and result as ``diffnet.simulate._simulate_chunk``."""
+    n, m = op.n, op.m
+    r = len(runs)
+    sampler = _Sampler(network, op, mode, policy, runs,
+                       adaptive=options.adaptive_slot is not None)
+    nu = options.nu if options.adaptive_slot is not None else None
+    state = DiffusionState.initial(n, m, batch=(r,), adaptive_nu=nu,
+                                   n_links=len(op.src))
+    w_true = np.tile(np.asarray(network.weights.w0, dtype=complex), (r, 1))
+    if mode == "rotation":
+        phase = np.exp(1j * network.weights.omega)
+
+    msd = np.empty((r, iterations))
+    emse = np.empty((r, iterations))
+    bad = np.zeros(r, dtype=bool)
+    err_traj = (np.empty((r, iterations, n, m), dtype=complex)
+                if options.record_mean_error else None)
+    wbar = np.empty((r, iterations, m), dtype=complex) if options.record_trajectory else None
+    wtrue_traj = (np.empty((r, iterations, m), dtype=complex)
+                  if options.record_trajectory else None)
+
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < iterations:
+            t_win = min(WINDOW, iterations - done)
+            draws = sampler.window(t_win)
+            for t in range(t_win):
+                i = done + t
+                if mode == "random_walk":
+                    w_true = w_true + draws["eta"][:, t]
+                elif mode == "rotation":
+                    w_true = w_true * phase
+                u_t = draws["u"][:, t]
+                err_prev = w_true[:, None, :] - state.w
+                emse[:, i] = np.mean(
+                    np.abs(np.einsum("rkm,rkm->rk", u_t, err_prev)) ** 2, axis=1
+                )
+                data = StepData(
+                    u=u_t,
+                    v=draws["v"][:, t],
+                    w_true=w_true,
+                    v_w=draws["v_w"][:, t] if "v_w" in draws else None,
+                    v_psi=draws["v_psi"][:, t] if "v_psi" in draws else None,
+                    v_d=draws["v_d"][:, t] if "v_d" in draws else None,
+                    v_u=draws["v_u"][:, t] if "v_u" in draws else None,
+                )
+                state = diffusion_step(state, op, data)
+                err = w_true[:, None, :] - state.w
+                err2 = np.sum(np.abs(err) ** 2, axis=-1)
+                msd[:, i] = np.mean(err2, axis=1)
+                node_max = np.max(err2, axis=1)
+                bad |= ~np.isfinite(node_max) | (node_max > DIVERGENCE_THRESHOLD)
+                if err_traj is not None:
+                    err_traj[:, i] = err
+                if wbar is not None:
+                    wbar[:, i] = np.mean(state.w, axis=1)
+                    wtrue_traj[:, i] = w_true
+            done += t_win
+    return {"msd": msd, "emse": emse, "bad": bad, "err": err_traj,
+            "wbar": wbar, "wtrue": wtrue_traj}

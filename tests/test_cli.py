@@ -21,6 +21,7 @@ from diffnet.network import (
     save_network,
     validate,
 )
+from reference import crandn_two_draws
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -71,6 +72,16 @@ class TestGenScenario:
                          "--seed", "3", "--out", str(out)]) == EXIT_OK
         assert (a / "network.json").read_bytes() == (b / "network.json").read_bytes()
         assert (a / "scenario.json").read_bytes() == (b / "scenario.json").read_bytes()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_output_matches_two_draw_sampler(self, preset, tmp_path, monkeypatch):
+        """random_network draws through crandn; one draw per call leaves the files unchanged."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["gen-scenario", "--preset", preset, "--seed", "1", "--out", str(a)]) == EXIT_OK
+        monkeypatch.setattr("diffnet.network.crandn", crandn_two_draws)
+        assert main(["gen-scenario", "--preset", preset, "--seed", "1", "--out", str(b)]) == EXIT_OK
+        for name in ("network.json", "scenario.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_changes_the_network(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -390,6 +401,29 @@ class TestTheory:
         assert main(["theory", "--config", str(cfg)]) == EXIT_OK
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["msd_track_db"] > data["msd_db"]
+
+    def test_forced_stationary_mode_drops_tracking_figures(self, tmp_path, capsys):
+        net = random_network(6, 4, 2, 0.6, NOISY_RANGES)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=1e-5 * np.eye(2, dtype=complex))
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10,
+                             rules={"a2": "uniform"}, mode="stationary")
+        assert main(["theory", "--config", str(cfg)]) == EXIT_OK
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert "msd_track_db" not in data and "emse_track_db" not in data
+        assert "tracking MSD" not in capsys.readouterr().out
+
+    def test_forced_random_walk_mode_adds_tracking_figures(self, tmp_path, capsys):
+        net = random_network(6, 4, 2, 0.6, NOISY_RANGES)
+        net.weights = WeightTrajectory(mode="constant", w0=net.weights.w0,
+                                       r_eta=1e-5 * np.eye(2, dtype=complex))
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10,
+                             rules={"a2": "uniform"}, mode="random_walk")
+        assert main(["theory", "--config", str(cfg)]) == EXIT_OK
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["msd_track_db"] > data["msd_db"]
+        assert "emse_track_db" in data
+        assert "tracking MSD" in capsys.readouterr().out
 
 
 class TestCompare:

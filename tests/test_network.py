@@ -267,6 +267,14 @@ class TestValidate:
         assert any(v.startswith("w0 is not finite") for v in rep.violations)
         assert any(v.startswith("r_eta is not finite") for v in rep.violations)
 
+    def test_target_statistics_checked_in_any_mode(self):
+        net = make_network(chain3())
+        net.weights.r_eta = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        net.weights.omega = np.inf
+        rep = validate(net)
+        assert any(v.startswith("r_eta") for v in rep.violations)
+        assert any(v.startswith("omega is not finite") for v in rep.violations)
+
     def test_non_finite_rotation_rate(self):
         net = make_network(chain3(), mode="rotation")
         net.weights.omega = np.nan
@@ -364,6 +372,15 @@ class TestJsonRoundTrip:
     def test_rotation_weights_round_trip(self):
         net = make_network(chain3(), mode="rotation")
         back = network_from_dict(network_to_dict(net))
+        assert back.weights.omega == net.weights.omega
+
+    def test_target_statistics_kept_in_any_mode(self):
+        net = make_network(chain3())
+        net.weights.r_eta = 1e-6 * np.eye(2, dtype=complex)
+        net.weights.omega = 0.002
+        back = network_from_dict(network_to_dict(net))
+        assert back.weights.mode == "constant"
+        assert np.array_equal(back.weights.r_eta, net.weights.r_eta)
         assert back.weights.omega == net.weights.omega
 
     def test_unknown_link_entry_rejected(self):

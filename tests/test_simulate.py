@@ -29,8 +29,8 @@ from diffnet.simulate import (
     trajectory_to_csv,
 )
 from diffnet.linalg import psd_factor
-from diffnet.simulate import _colouring, _Sampler
-from reference import AdaptiveWeightState, adaptive_update
+from diffnet.simulate import BLOCK, _colouring, _Sampler, _simulate_chunk, _resolve_mode
+from reference import AdaptiveWeightState, adaptive_update, simulate_chunk
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -625,6 +625,75 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="nu must lie in"):
             run_monte_carlo(net, mats, SimulationOptions(adaptive_slot="a2", nu=nu),
                             runs=2, iterations=5, rng_policy=RngPolicy(0))
+
+
+def block_case(target, m=2):
+    """A 5-node noisy network with the given target, and data-sharing combination matrices."""
+    net = random_network(11, 5, m, 0.6, NOISY_RANGES)
+    eye, a = np.eye(m, dtype=complex), uniform(net.topology)
+    net.weights = {
+        "constant": WeightTrajectory(mode="constant", w0=net.weights.w0),
+        "random_walk": WeightTrajectory(mode="random_walk", w0=net.weights.w0, r_eta=1e-3 * eye),
+        "rotation": WeightTrajectory(mode="rotation", w0=net.weights.w0, omega=0.05),
+    }[target]
+    mats = CombinationMatrices(a1=a, c=a.T, a2=a)
+    return net, mats
+
+
+def assert_chunks_equal(net, mats, options, iterations, runs=(0, 1, 2), seed=4):
+    """The block-wise chunk loop against the per-iteration oracle, key by key."""
+    op = StepOperator(net, mats)
+    mode = _resolve_mode(net, options.mode)
+    got = _simulate_chunk(net, op, mode, options, RngPolicy(seed), list(runs), iterations)
+    want = simulate_chunk(net, op, mode, options, RngPolicy(seed), list(runs), iterations)
+    assert got.keys() == want.keys()
+    for key in want:
+        if want[key] is None:
+            assert got[key] is None, key
+        else:
+            assert np.array_equal(got[key], want[key], equal_nan=True), key
+    return want
+
+
+class TestBlockMetrics:
+    """The learning-curve metrics, reduced once per block, against one iteration at a time."""
+
+    @pytest.mark.parametrize("iterations", [1, 31, 33, 256, 257, 300])
+    @pytest.mark.parametrize("target, adaptive", [
+        ("constant", False), ("random_walk", False), ("rotation", False), ("constant", True),
+    ])
+    def test_matches_per_iteration_metrics(self, target, adaptive, iterations):
+        net, mats = block_case(target)
+        options = SimulationOptions(adaptive_slot="a2" if adaptive else None,
+                                    record_mean_error=True, record_trajectory=True)
+        assert_chunks_equal(net, mats, options, iterations)
+
+    @pytest.mark.parametrize("record_mean_error, record_trajectory",
+                             [(False, False), (True, False), (False, True)])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_recordings_are_optional(self, record_mean_error, record_trajectory, m):
+        net, mats = block_case("random_walk", m)
+        options = SimulationOptions(record_mean_error=record_mean_error,
+                                    record_trajectory=record_trajectory)
+        assert_chunks_equal(net, mats, options, 300)
+
+    def test_run_diverging_partway_through_a_block(self):
+        net = single_node(m=2, sigma_v2=0.01, mu=1.0)
+        options = SimulationOptions(record_mean_error=True, record_trajectory=True)
+        want = assert_chunks_equal(net, CombinationMatrices.identity(1), options, 300,
+                                   runs=range(4), seed=3)
+        # runs 2 and 3 cross the threshold inside a block, runs 0 and 1 never do
+        assert want["bad"].tolist() == [False, False, True, True]
+        first = [int(np.argmax(~(want["msd"][r] <= 1e12))) for r in (2, 3)]
+        assert all(0 < i % BLOCK < BLOCK - 1 for i in first), first
+
+    def test_run_above_the_threshold_early_in_a_block_stays_divergent(self):
+        # a stable node started far away: past the threshold on the first step only
+        net = single_node(m=1, sigma_v2=0.01, mu=0.5, w0=[1e7])
+        want = assert_chunks_equal(net, CombinationMatrices.identity(1), SimulationOptions(), 40,
+                                   runs=range(2))
+        assert want["bad"].all()
+        assert (want["msd"][:, 0] > 1e12).all() and (want["msd"][:, BLOCK - 1] < 1e12).all()
 
 
 @st.composite
