@@ -44,6 +44,7 @@ from .simulate import (
     steady_state_level,
     trajectory_to_csv,
 )
+# network_metrics is unused here, but perfbench's trace list and test_cli's monkeypatch name it
 from .theory import InstabilityError, network_metrics, theory_report
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "main", "PRESETS"]
@@ -134,7 +135,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"forgetting factor nu must be a JSON number in (0, 1), got {nu!r}")
 
     try:
-        _resolve_mode(network, data.get("mode"))
+        network.weights.mode = _resolve_mode(network, data.get("mode"))
         cfg = ScenarioConfig(
             name=str(data.get("name", path.stem)),
             network=network,
@@ -313,7 +314,6 @@ def _apply_overrides(scenario: ScenarioConfig, args) -> None:
 def _simulate_curve(scenario: ScenarioConfig, matrices, adaptive: bool,
                     record_trajectory: bool):
     options = SimulationOptions(
-        mode=scenario.mode,
         adaptive_slot="a2" if adaptive else None,
         nu=scenario.nu,
         record_trajectory=record_trajectory,
@@ -369,9 +369,7 @@ def cmd_theory(args) -> int:
             "use 'compare --simulate' to evaluate it"
         )
     report_path = _output_paths(args, scenario, ("report",))["report"]
-    net = scenario.network  # analysed with the target mode the engine would simulate
-    net = replace(net, weights=replace(net.weights, mode=_resolve_mode(net, scenario.mode)))
-    data = theory_report(net, matrices).to_dict()
+    data = theory_report(scenario.network, matrices).to_dict()
 
     with open(report_path, "w") as fh:
         json.dump(data, fh, indent=2)
@@ -423,12 +421,11 @@ def cmd_compare(args) -> int:
         if adaptive:
             note = "theory undefined (adaptive)"
         else:
-            try:
-                msd, emse = network_metrics(trial.network, matrices)
-                theory_msd_db = 10.0 * np.log10(msd)
-                theory_emse_db = 10.0 * np.log10(emse)
-            except InstabilityError as exc:
-                note = f"unstable: {exc}"
+            data = theory_report(trial.network, matrices).to_dict()
+            track = "_track" if trial.network.weights.mode == "random_walk" else ""
+            theory_msd_db, theory_emse_db = data.get(f"msd{track}_db"), data.get(f"emse{track}_db")
+            if theory_msd_db is None:
+                note = "; ".join(data["warnings"])
         sim_msd_db = None
         divergent = None
         if args.simulate:

@@ -19,6 +19,7 @@ numbers; in memory everything is 0-based ndarray data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -302,7 +303,8 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
     """Check every structural invariant; returns a report, never raises.
 
     Messages use 1-based node indices. Passing ``matrices`` additionally
-    checks stochasticity and the neighborhood sparsity pattern.
+    checks stochasticity and the neighborhood sparsity pattern; the CLI calls
+    :func:`validate_matrices` instead, and perfbench's set-up probe passes them.
     """
     rep = ValidationReport()
     topo = network.topology
@@ -519,17 +521,6 @@ def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _pairs_to_complex_matrix(pairs, m_dim: int) -> np.ndarray:
-    flat = np.array([p[0] + 1j * p[1] for p in pairs], dtype=complex)
-    if flat.size != m_dim * m_dim:
-        raise ValueError(f"expected {m_dim * m_dim} complex entries, got {flat.size}")
-    return flat.reshape(m_dim, m_dim)
-
-
-def _pairs_to_complex_vector(pairs) -> np.ndarray:
-    return np.array([p[0] + 1j * p[1] for p in pairs], dtype=complex)
-
-
 def network_to_dict(network: NetworkModel) -> dict:
     topo = network.topology
     m = network.m_dim
@@ -588,6 +579,30 @@ def _whole(value, what: str, least: int | None = None) -> int:
     return int(number)
 
 
+_NUMBER_TYPES = (int, float)  # what JSON numbers load as; bool is excluded by type
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float; a ValueError naming ``what`` unless it is a JSON number."""
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{what} must be a number, got {value!r:.60}")
+    return float(value)
+
+
+def _complex(pairs, what: str, *shape: int) -> np.ndarray:
+    """[re, im] number pairs as a complex array of ``shape``; else a ValueError naming ``what``."""
+    size = math.prod(shape)
+    try:
+        flat = [re + 1j * im for re, im in pairs
+                if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES]
+        ok = len(flat) == len(pairs) == size
+    except (TypeError, ValueError):  # not a sequence of pairs
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be {size} [re, im] pairs of numbers, got {pairs!r:.60}")
+    return np.array(flat, dtype=complex).reshape(shape)
+
+
 def network_from_dict(data: dict) -> NetworkModel:
     n = _whole(data["n_nodes"], "n_nodes", least=1)
     m = _whole(data["m_dim"], "m_dim", least=1)
@@ -603,11 +618,12 @@ def network_from_dict(data: dict) -> NetworkModel:
     node_entries = data["nodes"]
     if len(node_entries) != n:
         raise ValueError(f"expected {n} node entries, got {len(node_entries)}")
+    rows = list(enumerate(node_entries, 1))
     nodes = NodeProfile(
         m_dim=m,
-        r_u=np.stack([_pairs_to_complex_matrix(e["r_u"], m) for e in node_entries]),
-        sigma_v2=np.array([float(e["sigma_v2"]) for e in node_entries]),
-        mu=np.array([float(e["mu"]) for e in node_entries]),
+        r_u=np.stack([_complex(e["r_u"], f"node {k} r_u", m, m) for k, e in rows]),
+        sigma_v2=np.array([_real(e["sigma_v2"], f"node {k} sigma_v2") for k, e in rows]),
+        mu=np.array([_real(e["mu"], f"node {k} mu") for k, e in rows]),
     )
 
     links = topo.link_table()
@@ -615,13 +631,13 @@ def network_from_dict(data: dict) -> NetworkModel:
     for entry in data.get("links", []):
         l, k = entry["from"], entry["to"]
         l, k = endpoints(f"link entry {l}->{k}", l, k)
-        p = links.slot[l, k]
+        p, what = links.slot[l, k], f"link entry {l + 1}->{k + 1}"
         if p < 0:
-            raise ValueError(f"link entry {l + 1}->{k + 1} is not an edge of the topology")
-        ln.r_w[p] = _pairs_to_complex_matrix(entry["r_w"], m)
-        ln.sigma_d2[p] = float(entry["sigma_d2"])
-        ln.r_u_link[p] = _pairs_to_complex_matrix(entry["r_u_link"], m)
-        ln.r_psi[p] = _pairs_to_complex_matrix(entry["r_psi"], m)
+            raise ValueError(f"{what} is not an edge of the topology")
+        ln.r_w[p] = _complex(entry["r_w"], f"{what} r_w", m, m)
+        ln.sigma_d2[p] = _real(entry["sigma_d2"], f"{what} sigma_d2")
+        ln.r_u_link[p] = _complex(entry["r_u_link"], f"{what} r_u_link", m, m)
+        ln.r_psi[p] = _complex(entry["r_psi"], f"{what} r_psi", m, m)
 
     wd = data["weights"]
     mode = wd["mode"]
@@ -629,10 +645,10 @@ def network_from_dict(data: dict) -> NetworkModel:
         raise ValueError(f"unknown weight mode '{mode}'")
     weights = WeightTrajectory(
         mode=mode,
-        w0=_pairs_to_complex_vector(wd["w0"]),
-        r_eta=(_pairs_to_complex_matrix(wd["r_eta"], m)
+        w0=_complex(wd["w0"], "weights.w0", m),
+        r_eta=(_complex(wd["r_eta"], "weights.r_eta", m, m)
                if mode == "random_walk" or "r_eta" in wd else None),
-        omega=float(wd["omega"]) if mode == "rotation" or "omega" in wd else None,
+        omega=_real(wd["omega"], "weights.omega") if mode == "rotation" or "omega" in wd else None,
     )
     return NetworkModel(topology=topo, nodes=nodes, link_noise=ln, weights=weights)
 

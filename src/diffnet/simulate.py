@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import crandn, db10, psd_factor
-from .network import CombinationMatrices, NetworkModel
+from .network import WEIGHT_MODES, CombinationMatrices, NetworkModel
 
 __all__ = [
     "RngPolicy",
@@ -49,8 +49,6 @@ __all__ = [
 ]
 
 _SOURCE_IDS = {"u": 0, "v": 1, "eta": 2, "w": 3, "psi": 4, "d": 5, "u_link": 6}
-
-_MODES = ("stationary", "random_walk", "rotation")
 
 WINDOW = 256  # iterations of noise drawn per batch; part of the realization
 BLOCK = 8  # iterations per curve reduction, output-neutral; kept under the 128 KiB mmap threshold
@@ -273,9 +271,12 @@ class LearningCurve:
 
 
 def _resolve_mode(network: NetworkModel, mode: str | None) -> str:
+    """``mode``, else the network's own, as a ``WEIGHT_MODES`` name; "stationary" spells "constant"."""
     if mode is None:
-        mode = {"constant": "stationary"}.get(network.weights.mode, network.weights.mode)
-    if mode not in _MODES:
+        mode = network.weights.mode
+    elif mode == "stationary":
+        mode = "constant"
+    if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown simulation mode '{mode}'")
     if mode == "random_walk" and network.weights.r_eta is None:
         raise ValueError("random_walk mode requires the network to carry r_eta")

@@ -446,7 +446,7 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
     """Assemble stability, bounds, bias, and steady-state metrics.
 
     Instability never raises here: it lands in ``warnings`` and the affected
-    metrics are left as None.
+    metrics are left as None, as are MSD and EMSE for a rotating target.
     """
     md = assemble_mean_dynamics(network, matrices)
     stab = stability_report(md)
@@ -473,6 +473,8 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
     msd = emse = msd_track = emse_track = None
     if not stab.mean_square_stable:
         warnings.append(f"mean-square-unstable: rho(B)^2 = {stab.rho_f:.6f}")
+    elif network.weights.mode == "rotation":
+        warnings.append("steady-state metrics omitted: no closed form for target mode 'rotation'")
     else:
         w = assemble_noise_moments(network, matrices, md)
         numerators = [w]

@@ -259,6 +259,34 @@ class TestScenarioSchema:
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, field, value, message", [
+        ("node", "mu", "0.02", "node 1 mu must be a number, got '0.02'"),
+        ("node", "mu", True, "node 1 mu must be a number, got True"),
+        ("node", "sigma_v2", [0.1], "node 1 sigma_v2 must be a number"),
+        ("node", "r_u", [[1.0]] * 4, "node 1 r_u must be 4 [re, im] pairs of numbers"),
+        ("node", "r_u", [[1.0, 0.0]] * 3, "node 1 r_u must be 4 [re, im] pairs of numbers"),
+        ("node", "r_u", [[1.0, "0"]] * 4, "node 1 r_u must be 4 [re, im] pairs of numbers"),
+        ("node", "r_u", [[1.0, False]] * 4, "node 1 r_u must be 4 [re, im] pairs of numbers"),
+        ("link", "sigma_d2", False, "sigma_d2 must be a number, got False"),
+        ("link", "r_psi", 0.0, "r_psi must be 4 [re, im] pairs of numbers, got 0.0"),
+        ("weights", "w0", [[1.0], [0.0, 1.0]], "weights.w0 must be 2 [re, im] pairs of numbers"),
+        ("weights", "omega", "0.01", "weights.omega must be a number, got '0.01'"),
+    ], ids=["mu-string", "mu-boolean", "sigma_v2-list", "r_u-short-pair", "r_u-too-few",
+            "r_u-string-part", "r_u-boolean-part", "sigma_d2-boolean", "r_psi-number",
+            "w0-short-pair", "omega-string"])
+    def test_network_value_of_the_wrong_kind_is_config_error(self, where, field, value,
+                                                             message, tmp_path, capsys):
+        net = random_network(3, 4, 2, 0.6, NOISY_RANGES)
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10)
+        data = json.loads((tmp_path / "net.json").read_text())
+        entry = {"node": data["nodes"][0], "link": data["links"][0],
+                 "weights": data["weights"]}[where]
+        entry[field] = value
+        (tmp_path / "net.json").write_text(json.dumps(data))
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("rules, message", [
         ({"A2": "uniform"}, "unknown rules key 'A2'"),
         (["a2"], "rules must be a JSON object"),
@@ -425,6 +453,21 @@ class TestTheory:
         assert "emse_track_db" in data
         assert "tracking MSD" in capsys.readouterr().out
 
+    def test_rotating_target_reports_no_steady_state_figures(self, tmp_path, capsys):
+        net = random_network(6, 4, 2, 0.6, NOISY_RANGES)
+        net.weights = WeightTrajectory(mode="rotation", w0=net.weights.w0, omega=0.01)
+        cfg = write_scenario(tmp_path, net, rules={"a2": "uniform"})
+        assert main(["theory", "--config", str(cfg)]) == EXIT_OK
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["msd_db"] is None and data["emse_db"] is None
+        assert any("'rotation'" in w for w in data["warnings"])
+        assert "'rotation'" in capsys.readouterr().out
+
+
+def read_compare(path) -> dict:
+    with open(path, newline="") as fh:
+        return {row["rule"]: row for row in csv.DictReader(fh)}
+
 
 class TestCompare:
     def test_rules_ranked_by_theory(self, tmp_path):
@@ -455,6 +498,44 @@ class TestCompare:
         assert rows["adaptive"][1] == ""
         assert rows["adaptive"][3] != ""
         assert rows["uniform"][1] != "" and rows["uniform"][3] != ""
+
+    @pytest.mark.parametrize("target, mode, key", [
+        ("random_walk", None, "msd_track_db"),
+        ("constant", "random_walk", "msd_track_db"),
+        ("random_walk", "stationary", "msd_db"),
+        ("constant", None, "msd_db"),
+    ])
+    def test_theory_columns_are_the_theory_report_figures(self, target, mode, key, tmp_path):
+        """Each rule's columns equal, bit for bit, the figures theory reports for its target."""
+        net = random_network(9, 6, 2, 0.5, NOISY_RANGES)
+        net.weights = WeightTrajectory(mode=target, w0=net.weights.w0,
+                                       r_eta=1e-4 * np.eye(2, dtype=complex))
+        fields = {"runs": 1, "iterations": 10, "rules": {"a1": "identity", "c": "identity"}}
+        if mode is not None:
+            fields["mode"] = mode
+        cfg = write_scenario(tmp_path, net, **fields)
+        rules = ("uniform", "metropolis", "relative_variance")
+        assert main(["compare", "--config", str(cfg), "--rules", ",".join(rules)]) == EXIT_OK
+        rows = read_compare(tmp_path / "compare.csv")
+        for rule in rules:
+            cfg = write_scenario(tmp_path, net, **{**fields, "rules": {"a2": rule}})
+            assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / rule)]) == EXIT_OK
+            data = json.loads((tmp_path / rule / "report.json").read_text())
+            assert float(rows[rule]["theory_msd_db"]) == data[key]
+            assert float(rows[rule]["theory_emse_db"]) == data[key.replace("msd", "emse")]
+
+    def test_rotating_target_ranks_by_the_simulated_column(self, tmp_path, capsys):
+        net = random_network(10, 4, 2, 0.6, NOISY_RANGES)
+        net.weights = WeightTrajectory(mode="rotation", w0=net.weights.w0, omega=0.01)
+        cfg = write_scenario(tmp_path, net, runs=2, iterations=100,
+                             rules={"a1": "identity", "c": "identity"})
+        assert main(["compare", "--config", str(cfg), "--rules",
+                     "uniform,metropolis,relative_variance", "--simulate"]) == EXIT_OK
+        rows = list(read_compare(tmp_path / "compare.csv").values())
+        assert all(r["theory_msd_db"] == "" and r["theory_emse_db"] == "" for r in rows)
+        sim = [float(r["sim_msd_db"]) for r in rows]
+        assert sim == sorted(sim)
+        assert "'rotation'" in capsys.readouterr().out
 
     def test_single_rule_rejected(self, tmp_path):
         cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10)

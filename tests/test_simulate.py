@@ -76,7 +76,7 @@ class TestRngPolicy:
 
 def window_draws(net, mats, t, adaptive=False, seed=7):
     """The engine's noise draws for ``t`` iterations of one run."""
-    sampler = _Sampler(net, StepOperator(net, mats), "stationary", RngPolicy(seed), [0], adaptive)
+    sampler = _Sampler(net, StepOperator(net, mats), "constant", RngPolicy(seed), [0], adaptive)
     return sampler, sampler.window(t)
 
 
