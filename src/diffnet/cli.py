@@ -27,6 +27,7 @@ from .network import (
     NetworkModel,
     VarianceRanges,
     WeightTrajectory,
+    _object,
     _whole,
     load_network,
     network_from_dict,
@@ -67,17 +68,6 @@ OUTPUT_DEFAULTS = {"curve": "curve.csv", "trajectory": None, "report": "report.j
                 "compare": "compare.csv"}
 
 
-def _object(value, what: str, keys=None) -> dict:
-    """``value`` if it is a JSON object with keys among ``keys``; else a ConfigError naming ``what``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r:.60}")
-    if keys is not None:
-        for key in value:
-            if key not in keys:
-                raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(keys)}")
-    return value
-
-
 @dataclass
 class ScenarioConfig:
     name: str
@@ -101,9 +91,14 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file is not valid JSON: {exc}")
-    _object(data, "scenario", SCENARIO_KEYS)
-    rules = _object(data.get("rules", {}), "rules", RULE_SLOTS)
-    outputs = _object(data.get("outputs", {}), "outputs", tuple(OUTPUT_DEFAULTS))
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario file: {exc}")
+    try:
+        _object(data, "scenario", SCENARIO_KEYS)
+        rules = _object(data.get("rules", {}), "rules", RULE_SLOTS)
+        outputs = _object(data.get("outputs", {}), "outputs", tuple(OUTPUT_DEFAULTS))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     for key, value in outputs.items():
         if not isinstance(value, str):
             raise ConfigError(f"outputs.{key} must be a file name, got {value!r}")
@@ -114,17 +109,14 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("scenario is missing the 'network' entry")
     try:
         if isinstance(net_spec, str):
-            net_path = Path(net_spec)
-            if not net_path.is_absolute():
-                net_path = base_dir / net_path
-            network = load_network(net_path)
+            network = load_network(base_dir / net_spec)  # an absolute net_spec replaces base_dir
         elif isinstance(net_spec, dict):
             network = network_from_dict(net_spec)
         else:
             raise ConfigError("'network' must be a file name or an inline object")
     except FileNotFoundError as exc:
         raise ConfigError(f"network file not found: {exc.filename}")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad network description: {exc}")
 
     report = validate(network)
@@ -160,7 +152,7 @@ def _build_matrices(scenario: ScenarioConfig):
         )
     except FileNotFoundError as exc:
         raise ConfigError(f"combination-matrix file not found: {exc.filename}")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc))
     report = validate_matrices(scenario.network.topology, matrices)
     if not report.ok:

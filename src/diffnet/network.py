@@ -52,6 +52,13 @@ STOCHASTIC_TOL = 1e-8
 
 WEIGHT_MODES = ("constant", "random_walk", "rotation")
 
+# Per-entry fields in file order, each with its number of M-sized axes: 0 is a
+# JSON number, 1 or 2 a flat list of [re, im] pairs.
+_NODE_FIELDS = {"mu": 0, "sigma_v2": 0, "r_u": 2}
+_LINK_FIELDS = {"r_w": 2, "sigma_d2": 0, "r_u_link": 2, "r_psi": 2}
+_TARGET_FIELDS = {"w0": 1, "r_eta": 2, "omega": 0}
+_NETWORK_KEYS = ("n_nodes", "m_dim", "edges", "nodes", "links", "weights")
+
 
 @dataclass(frozen=True)
 class LinkTable:
@@ -190,12 +197,8 @@ class LinkNoiseProfile:
 
     @classmethod
     def zeros(cls, n_links: int, m_dim: int) -> "LinkNoiseProfile":
-        return cls(
-            r_w=np.zeros((n_links, m_dim, m_dim), dtype=complex),
-            sigma_d2=np.zeros(n_links),
-            r_u_link=np.zeros((n_links, m_dim, m_dim), dtype=complex),
-            r_psi=np.zeros((n_links, m_dim, m_dim), dtype=complex),
-        )
+        return cls(**{name: np.zeros((n_links,) + (m_dim,) * axes, dtype=complex if axes else float)
+                      for name, axes in _LINK_FIELDS.items()})
 
 
 @dataclass
@@ -279,7 +282,7 @@ def _check_cov(report, label, mats, where=None) -> None:
             / np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1.0))
     eig = np.linalg.eigvalsh(hermitize(mats))
     floor = eig[:, 0] / np.maximum(eig[:, -1], 1.0)
-    for i in range(len(mats)):
+    for i in np.flatnonzero((herm > HERMITIAN_TOL) | (floor < PSD_FLOOR)):
         name = f"{where(i)} {label}" if where else label
         if herm[i] > HERMITIAN_TOL:
             report.add(f"{name} is not Hermitian")
@@ -346,12 +349,6 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
     links = topo.link_table()
     ln = network.link_noise
     n_links = len(links)
-    shapes = {
-        "r_w": (n_links, m, m),
-        "sigma_d2": (n_links,),
-        "r_u_link": (n_links, m, m),
-        "r_psi": (n_links, m, m),
-    }
 
     def link(p):
         return f"{links.src[p] + 1}->{links.dst[p] + 1}"
@@ -360,8 +357,8 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
         return "links " + ", ".join(map(link, bad))
 
     link_noise_ok = True
-    for name, want in shapes.items():
-        got = getattr(ln, name).shape
+    for name, axes in _LINK_FIELDS.items():
+        got, want = getattr(ln, name).shape, (n_links,) + (m,) * axes
         if got != want:
             rep.add(f"link_noise.{name} has shape {got}, expected {want}")
             link_noise_ok = False
@@ -516,51 +513,47 @@ def random_network(seed: int, n_nodes: int, m_dim: int, connectivity: float,
 # JSON serialization (1-based indices, complex numbers as [re, im] pairs)
 
 
-def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def _to_json(value):
+    """A float, or the [re, im] pairs of a complex array in row-major order."""
+    if np.ndim(value) == 0:
+        return float(value)
+    return [[float(z.real), float(z.imag)] for z in np.asarray(value, dtype=complex).reshape(-1)]
 
 
 def network_to_dict(network: NetworkModel) -> dict:
-    topo = network.topology
-    m = network.m_dim
-    ln = network.link_noise
-
+    topo, nodes, ln, w = network.topology, network.nodes, network.link_noise, network.weights
     link_entries = []
     for p, (l, k) in enumerate(topo.link_table()):
-        if (np.any(ln.r_w[p]) or ln.sigma_d2[p] != 0
-                or np.any(ln.r_u_link[p]) or np.any(ln.r_psi[p])):
-            link_entries.append({
-                "from": l + 1,
-                "to": k + 1,
-                "r_w": _complex_to_pairs(ln.r_w[p]),
-                "sigma_d2": float(ln.sigma_d2[p]),
-                "r_u_link": _complex_to_pairs(ln.r_u_link[p]),
-                "r_psi": _complex_to_pairs(ln.r_psi[p]),
-            })
-
-    w = network.weights
-    weights: dict = {"mode": w.mode, "w0": _complex_to_pairs(w.w0)}
-    if w.r_eta is not None:
-        weights["r_eta"] = _complex_to_pairs(w.r_eta)
-    if w.omega is not None:
-        weights["omega"] = float(w.omega)
-
+        row = {name: getattr(ln, name)[p] for name in _LINK_FIELDS}
+        if any(np.any(value) for value in row.values()):
+            link_entries.append({"from": l + 1, "to": k + 1,
+                                 **{name: _to_json(value) for name, value in row.items()}})
     return {
         "n_nodes": topo.n_nodes,
-        "m_dim": m,
+        "m_dim": network.m_dim,
         "edges": [[l + 1, k + 1] for l, k in topo.cross_edges()],
-        "nodes": [
-            {
-                "mu": float(network.nodes.mu[k]),
-                "sigma_v2": float(network.nodes.sigma_v2[k]),
-                "r_u": _complex_to_pairs(network.nodes.r_u[k]),
-            }
-            for k in range(topo.n_nodes)
-        ],
+        "nodes": [{name: _to_json(getattr(nodes, name)[k]) for name in _NODE_FIELDS}
+                  for k in range(topo.n_nodes)],
         "links": link_entries,
-        "weights": weights,
+        "weights": {"mode": w.mode, **{name: _to_json(getattr(w, name)) for name in _TARGET_FIELDS
+                                       if getattr(w, name) is not None}},
     }
+
+
+def _object(value, what: str, keys, required=()) -> dict:
+    """``value`` if it is a JSON object with keys among ``keys`` and every key of ``required``.
+
+    Otherwise a ValueError names ``what`` and the unknown or missing key.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r:.60}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}; expected one of {', '.join(keys)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{what} is missing {key!r}")
+    return value
 
 
 def _whole(value, what: str, least: int | None = None) -> int:
@@ -603,9 +596,19 @@ def _complex(pairs, what: str, *shape: int) -> np.ndarray:
     return np.array(flat, dtype=complex).reshape(shape)
 
 
+def _read(entry: dict, fields: dict, what: str, m: int) -> dict:
+    """Each of ``fields`` in ``entry`` by its number of M-sized axes; ``what`` prefixes errors."""
+    return {name: _complex(entry[name], what + name, *(m,) * axes) if axes
+            else _real(entry[name], what + name)
+            for name, axes in fields.items() if name in entry}
+
+
 def network_from_dict(data: dict) -> NetworkModel:
+    _object(data, "network", _NETWORK_KEYS, ("n_nodes", "m_dim", "edges", "nodes", "weights"))
     n = _whole(data["n_nodes"], "n_nodes", least=1)
     m = _whole(data["m_dim"], "m_dim", least=1)
+    if len(data["nodes"]) != n:
+        raise ValueError(f"expected {n} node entries, got {len(data['nodes'])}")
 
     def endpoints(entry, l, k):
         l, k = _whole(l, f"{entry} endpoint"), _whole(k, f"{entry} endpoint")
@@ -615,41 +618,32 @@ def network_from_dict(data: dict) -> NetworkModel:
 
     topo = Topology.from_edges(n, [endpoints(f"edge [{l}, {k}]", l, k) for l, k in data["edges"]])
 
-    node_entries = data["nodes"]
-    if len(node_entries) != n:
-        raise ValueError(f"expected {n} node entries, got {len(node_entries)}")
-    rows = list(enumerate(node_entries, 1))
-    nodes = NodeProfile(
-        m_dim=m,
-        r_u=np.stack([_complex(e["r_u"], f"node {k} r_u", m, m) for k, e in rows]),
-        sigma_v2=np.array([_real(e["sigma_v2"], f"node {k} sigma_v2") for k, e in rows]),
-        mu=np.array([_real(e["mu"], f"node {k} mu") for k, e in rows]),
-    )
+    rows = [_read(_object(e, f"node {k}", _NODE_FIELDS, _NODE_FIELDS), _NODE_FIELDS, f"node {k} ", m)
+            for k, e in enumerate(data["nodes"], 1)]
+    nodes = NodeProfile(m_dim=m, **{name: np.array([row[name] for row in rows])
+                                    for name in _NODE_FIELDS})
 
     links = topo.link_table()
     ln = LinkNoiseProfile.zeros(len(links), m)
-    for entry in data.get("links", []):
+    link_keys = ("from", "to", *_LINK_FIELDS)
+    for i, entry in enumerate(data.get("links", []), 1):
+        _object(entry, f"link entry #{i}", link_keys, ("from", "to"))
         l, k = entry["from"], entry["to"]
         l, k = endpoints(f"link entry {l}->{k}", l, k)
         p, what = links.slot[l, k], f"link entry {l + 1}->{k + 1}"
         if p < 0:
             raise ValueError(f"{what} is not an edge of the topology")
-        ln.r_w[p] = _complex(entry["r_w"], f"{what} r_w", m, m)
-        ln.sigma_d2[p] = _real(entry["sigma_d2"], f"{what} sigma_d2")
-        ln.r_u_link[p] = _complex(entry["r_u_link"], f"{what} r_u_link", m, m)
-        ln.r_psi[p] = _complex(entry["r_psi"], f"{what} r_psi", m, m)
+        _object(entry, what, link_keys, _LINK_FIELDS)
+        for name, value in _read(entry, _LINK_FIELDS, what + " ", m).items():
+            getattr(ln, name)[p] = value
 
-    wd = data["weights"]
+    wd = _object(data["weights"], "weights", ("mode", *_TARGET_FIELDS), ("mode", "w0"))
     mode = wd["mode"]
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode '{mode}'")
-    weights = WeightTrajectory(
-        mode=mode,
-        w0=_complex(wd["w0"], "weights.w0", m),
-        r_eta=(_complex(wd["r_eta"], "weights.r_eta", m, m)
-               if mode == "random_walk" or "r_eta" in wd else None),
-        omega=_real(wd["omega"], "weights.omega") if mode == "rotation" or "omega" in wd else None,
-    )
+    own = {"random_walk": ("r_eta",), "rotation": ("omega",)}.get(mode, ())
+    _object(wd, "weights", ("mode", *_TARGET_FIELDS), own)  # r_eta and omega in their own mode
+    weights = WeightTrajectory(mode=mode, **_read(wd, _TARGET_FIELDS, "weights.", m))
     return NetworkModel(topology=topo, nodes=nodes, link_noise=ln, weights=weights)
 
 

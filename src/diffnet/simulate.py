@@ -222,8 +222,9 @@ def diffusion_step(state: DiffusionState, operator: StepOperator,
         inv_s = 1.0 / g2s
         inv_l = 1.0 / g2l
         den = inv_s + op.links.segment_sum(inv_l)
-        a_self = inv_s / den
-        a_link = inv_l / np.take(den, op.dst, axis=-1)
+        # complex, as the products in combine would cast them
+        a_self = (inv_s / den).astype(complex)
+        a_link = (inv_l / np.take(den, op.dst, axis=-1)).astype(complex)
         w_new = op.combine(a_self, a_link, psi, psi_recv)
         new_ad = AdaptiveArrays(nu=ad.nu, gamma2_self=g2s, gamma2_link=g2l,
                                 a_self=a_self, a_link=a_link)

@@ -138,6 +138,10 @@ class TestSimulate:
     def test_missing_scenario_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "no.json")]) == EXIT_CONFIG
 
+    def test_directory_as_scenario_file(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert "cannot read scenario file" in capsys.readouterr().err
+
     def test_malformed_scenario_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -384,6 +388,75 @@ class TestScenarioSchema:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not any((tmp_path / name).exists() for name in ("curve.csv", "report.json"))
+
+    @pytest.mark.parametrize("where, key, value, message", [
+        ("network", "comment", "x", "unknown network key 'comment'; expected one of "
+                                    "n_nodes, m_dim, edges, nodes, links, weights"),
+        ("node", "sigma_v", 0.1, "unknown node 3 key 'sigma_v'; expected one of mu, sigma_v2, r_u"),
+        ("link", "r_x", 0.0, "unknown link entry #1 key 'r_x'; expected one of "
+                             "from, to, r_w, sigma_d2, r_u_link, r_psi"),
+        ("weights", "omgea", 0.1, "unknown weights key 'omgea'; expected one of "
+                                  "mode, w0, r_eta, omega"),
+        ("network", "edges", None, "network is missing 'edges'"),
+        ("node", "mu", None, "node 3 is missing 'mu'"),
+        ("link", "r_psi", None, "link entry {from}->{to} is missing 'r_psi'"),
+        ("link", "from", None, "link entry #1 is missing 'from'"),
+        ("weights", "w0", None, "weights is missing 'w0'"),
+        ("weights", "r_eta", None, "weights is missing 'r_eta'"),
+    ], ids=["unknown-top", "unknown-node", "unknown-link", "unknown-weights", "missing-top",
+            "missing-node", "missing-link-field", "missing-link-end", "missing-w0",
+            "missing-r_eta"])
+    def test_unknown_or_missing_network_key_is_config_error(self, where, key, value, message,
+                                                            tmp_path, capsys):
+        """``value`` None deletes ``key``; any other value adds it."""
+        net = random_network(3, 4, 2, 0.6, NOISY_RANGES)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=1e-4 * np.eye(2, dtype=complex))
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10)
+        data = json.loads((tmp_path / "net.json").read_text())
+        entry = {"network": data, "node": data["nodes"][2], "link": data["links"][0],
+                 "weights": data["weights"]}[where]
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        (tmp_path / "net.json").write_text(json.dumps(data))
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message.format(**data["links"][0]) in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_node_count_is_checked_before_the_topology_is_built(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """A million-node adjacency would take 931 GiB; the four node entries refute it first."""
+        cfg = write_scenario(tmp_path, random_network(3, 4, 2, 0.6, NOISY_RANGES), runs=1,
+                             iterations=10)
+        data = json.loads((tmp_path / "net.json").read_text())
+        data["n_nodes"] = 1_000_000
+        (tmp_path / "net.json").write_text(json.dumps(data))
+
+        def refuse(n_nodes, edges):
+            raise AssertionError(f"built the adjacency of {n_nodes} nodes")
+
+        monkeypatch.setattr(Topology, "from_edges", refuse)
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "expected 1000000 node entries, got 4" in capsys.readouterr().err
+
+    def test_absolute_network_path_is_not_joined_to_the_scenario_directory(self, tmp_path):
+        save_network(random_network(3, 4, 2, 0.6, NOISY_RANGES), tmp_path / "net.json")
+        cfg = tmp_path / "elsewhere" / "scenario.json"
+        cfg.parent.mkdir()
+        cfg.write_text(json.dumps({"network": str(tmp_path / "net.json")}))
+        assert main(["theory", "--config", str(cfg)]) == EXIT_OK
+        assert (cfg.parent / "report.json").exists()
+
+    @pytest.mark.parametrize("field, value", [("network", ""), ("rules", {"a2": "file:"})])
+    def test_directory_named_as_an_input_file_is_config_error(self, field, value, tmp_path,
+                                                              capsys):
+        cfg = write_scenario(tmp_path, random_network(3, 4, 2, 0.6, NOISY_RANGES), runs=1,
+                             iterations=10)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: value}))
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "Is a directory" in capsys.readouterr().err
 
 
 class TestTheory:
