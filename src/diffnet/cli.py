@@ -408,16 +408,17 @@ def cmd_compare(args) -> int:
     for rule in rule_names:
         trial = replace(scenario, rules={**scenario.rules, slot: rule}, outputs={})
         matrices, adaptive = _build_matrices(trial)
-        theory_msd_db = theory_emse_db = None
-        note = ""
+        theory_msd_db = theory_emse_db = rho_b = None
+        notes = []
         if adaptive:
-            note = "theory undefined (adaptive)"
+            notes.append("theory undefined (adaptive)")
         else:
             data = theory_report(trial.network, matrices).to_dict()
             track = "_track" if trial.network.weights.mode == "random_walk" else ""
             theory_msd_db, theory_emse_db = data.get(f"msd{track}_db"), data.get(f"emse{track}_db")
+            rho_b = data["rho_b"]
             if theory_msd_db is None:
-                note = "; ".join(data["warnings"])
+                notes += data["warnings"]
         sim_msd_db = None
         divergent = None
         if args.simulate:
@@ -425,15 +426,20 @@ def cmd_compare(args) -> int:
             divergent = curve.divergent_runs
             if curve.divergent_runs < curve.runs:
                 sim_msd_db = 10.0 * np.log10(steady_state_level(curve.msd))
+                if rho_b is not None:  # an unsettled tail is still reported, with a note
+                    try:
+                        steady_state_level(curve.msd, rho_b=rho_b)
+                    except ValueError as exc:
+                        notes.append(f"tail not settled: {exc}")
             else:
-                note = (note + "; " if note else "") + "all runs diverged"
+                notes.append("all runs diverged")
         rows.append({
             "rule": rule,
             "theory_msd_db": theory_msd_db,
             "theory_emse_db": theory_emse_db,
             "sim_msd_db": sim_msd_db,
             "divergent": divergent,
-            "note": note,
+            "note": "; ".join(notes),
         })
 
     def rank_key(row):

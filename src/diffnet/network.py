@@ -556,6 +556,18 @@ def _object(value, what: str, keys, required=()) -> dict:
     return value
 
 
+def _list(value, what: str, kind: str, item_ok=None) -> list:
+    """``value`` if it is a JSON list whose items pass ``item_ok``; else a ValueError
+    saying that ``what`` must be a list of ``kind``, with the offending value."""
+    if isinstance(value, list):
+        bad = [item for item in value if item_ok and not item_ok(item)]
+    else:
+        bad = [value]
+    if bad:
+        raise ValueError(f"{what} must be a list of {kind}, got {bad[0]!r:.60}")
+    return value
+
+
 def _whole(value, what: str, least: int | None = None) -> int:
     """``value`` as an int; a ValueError naming ``what`` unless it is a whole number >= ``least``.
 
@@ -607,8 +619,11 @@ def network_from_dict(data: dict) -> NetworkModel:
     _object(data, "network", _NETWORK_KEYS, ("n_nodes", "m_dim", "edges", "nodes", "weights"))
     n = _whole(data["n_nodes"], "n_nodes", least=1)
     m = _whole(data["m_dim"], "m_dim", least=1)
-    if len(data["nodes"]) != n:
-        raise ValueError(f"expected {n} node entries, got {len(data['nodes'])}")
+    node_entries = _list(data["nodes"], "nodes", "node entries")
+    if len(node_entries) != n:
+        raise ValueError(f"expected {n} node entries, got {len(node_entries)}")
+    edges = _list(data["edges"], "edges", "[from, to] pairs",
+                  lambda edge: isinstance(edge, list) and len(edge) == 2)
 
     def endpoints(entry, l, k):
         l, k = _whole(l, f"{entry} endpoint"), _whole(k, f"{entry} endpoint")
@@ -616,17 +631,17 @@ def network_from_dict(data: dict) -> NetworkModel:
             raise ValueError(f"{entry} names a node outside 1..{n}")
         return l - 1, k - 1
 
-    topo = Topology.from_edges(n, [endpoints(f"edge [{l}, {k}]", l, k) for l, k in data["edges"]])
+    topo = Topology.from_edges(n, [endpoints(f"edge [{l}, {k}]", l, k) for l, k in edges])
 
     rows = [_read(_object(e, f"node {k}", _NODE_FIELDS, _NODE_FIELDS), _NODE_FIELDS, f"node {k} ", m)
-            for k, e in enumerate(data["nodes"], 1)]
+            for k, e in enumerate(node_entries, 1)]
     nodes = NodeProfile(m_dim=m, **{name: np.array([row[name] for row in rows])
                                     for name in _NODE_FIELDS})
 
     links = topo.link_table()
     ln = LinkNoiseProfile.zeros(len(links), m)
     link_keys = ("from", "to", *_LINK_FIELDS)
-    for i, entry in enumerate(data.get("links", []), 1):
+    for i, entry in enumerate(_list(data.get("links", []), "links", "link entries"), 1):
         _object(entry, f"link entry #{i}", link_keys, ("from", "to"))
         l, k = entry["from"], entry["to"]
         l, k = endpoints(f"link entry {l}->{k}", l, k)

@@ -13,7 +13,14 @@ by the receiving node. Curves are bit-identical for a fixed master seed
 whatever the thread count, ``chunk_size`` or the length ``BLOCK`` of the
 iteration blocks over which the curves are reduced; runs are reduced in
 run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
-per stream, straight into the window buffers.
+per stream.
+
+A static combine uses its link noise only through each receiver's weighted
+sum sum_l a_lk v_lk, so the sampler reduces a receiver's in-link block to
+that sum as soon as it is drawn: a window of a static rule holds
+O(runs WINDOW N M) noise. Only the adaptive rule's intermediate-estimate
+noise and data sharing's measurement and regressor noise are held per link,
+since their terms depend on each received value.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -93,9 +100,11 @@ class StepData:
 
     u : (..., N, M) clean regressors; v : (..., N) measurement noise;
     w_true : (..., M) or (M,) true weight vector for this iteration.
-    v_w, v_psi, v_u : (..., L, M) link noise on exchanged estimates,
-    intermediate estimates, and regressors; v_d : (..., L) on measurements.
-    Link arrays follow canonical link order; None means zero.
+    v_w : (..., N, M) each receiver's combined estimate noise sum_l a1_lk v_lk.
+    v_psi : the same receiver sums over A2, (..., N, M), for a static second
+    combine; per link, (..., L, M), for the adaptive rule.
+    v_u : (..., L, M) and v_d : (..., L) per-link noise on shared regressors
+    and measurements, in canonical link order. None means zero.
     """
 
     u: np.ndarray
@@ -177,9 +186,16 @@ class StepOperator:
         sent = np.take(x, self.src, axis=-2)
         return sent if noise is None else sent + noise
 
-    def combine(self, a_self, a_link, x, received) -> np.ndarray:
-        """a_self x_k plus the sum of a_link times what node k received over its in-links."""
-        return a_self[..., None] * x + self.links.segment_sum(a_link[..., None] * received, axis=-2)
+    def combine(self, a_self, a_link, x, noise, received=None) -> np.ndarray:
+        """a_self x_k plus the a_link-weighted sum over node k's in-links, plus ``noise``.
+
+        ``received`` is what each link delivers, by default the sender's row
+        of ``x``; ``noise`` holds the receivers' noise sums, None for zero.
+        """
+        if received is None:
+            received = np.take(x, self.src, axis=-2)
+        out = a_self[..., None] * x + self.links.segment_sum(a_link[..., None] * received, axis=-2)
+        return out if noise is None else out + noise
 
 
 def diffusion_step(state: DiffusionState, operator: StepOperator,
@@ -191,14 +207,14 @@ def diffusion_step(state: DiffusionState, operator: StepOperator,
     second combine uses online inverse-variance weights updated from the
     received intermediate estimates; otherwise the static matrices apply.
     Each exchange gathers over the links, scales per link and sums over each
-    receiver's in-links. Returns the new w, phi, psi and adaptive state.
+    receiver's in-links; a static combine then adds the receivers' noise sums
+    from ``data``. Returns the new w, phi, psi and adaptive state.
     """
     op = operator
     w = state.w
     u = data.u
 
-    phi = w if op.a1_identity else op.combine(op.a1_self, op.a1_link, w,
-                                               op.received(w, data.v_w))
+    phi = w if op.a1_identity else op.combine(op.a1_self, op.a1_link, w, data.v_w)
 
     d = np.einsum("...km,...m->...k", u, data.w_true) + data.v
     e_self = d - np.einsum("...km,...km->...k", u, phi)
@@ -225,13 +241,12 @@ def diffusion_step(state: DiffusionState, operator: StepOperator,
         # complex, as the products in combine would cast them
         a_self = (inv_s / den).astype(complex)
         a_link = (inv_l / np.take(den, op.dst, axis=-1)).astype(complex)
-        w_new = op.combine(a_self, a_link, psi, psi_recv)
+        w_new = op.combine(a_self, a_link, psi, None, received=psi_recv)
         new_ad = AdaptiveArrays(nu=ad.nu, gamma2_self=g2s, gamma2_link=g2l,
                                 a_self=a_self, a_link=a_link)
         return DiffusionState(w=w_new, phi=phi, psi=psi, adaptive=new_ad)
 
-    w_new = psi if op.a2_identity else op.combine(op.a2_self, op.a2_link, psi,
-                                                   op.received(psi, data.v_psi))
+    w_new = psi if op.a2_identity else op.combine(op.a2_self, op.a2_link, psi, data.v_psi)
     return DiffusionState(w=w_new, phi=phi, psi=psi, adaptive=None)
 
 
@@ -306,13 +321,28 @@ def _colouring(factors: np.ndarray):
     return colour
 
 
+def _receiver_gains(a_link: np.ndarray, factors: np.ndarray, starts: np.ndarray) -> list:
+    """Per receiver k, the (deg_k M, M) matrix G_k[l, m, q] = a_lk conj(F_l[q, m]).
+
+    A row of standard draws over k's in-links times G_k is k's combined link
+    noise sum_l a_lk v_lk, with each v_lk coloured by its factor F_l.
+    """
+    m = factors.shape[-1]
+    gains = a_link[:, None, None] * factors.conj().swapaxes(-1, -2)
+    return [gains[lo:hi].reshape(-1, m) for lo, hi in zip(starts[:-1], starts[1:])]
+
+
 class _Sampler:
     """Window-sized noise draws for a chunk of runs, per-stream bulk draws.
 
     Each kind of draw has one (runs, t) + shape buffer, sized by the first
     window and refilled in place by every later one. A window's draws are
     views into these buffers and are overwritten by the next window, so a
-    chunk holds one window of noise however many windows it runs.
+    chunk holds one window of noise however many windows it runs. The
+    static combines' link noise is held as receiver sums, (runs, t, N, M);
+    each receiver's in-link draws pass through one (runs, t, deg_k, M)
+    scratch block on their way there. Only the adaptive rule's ``v_psi``
+    and data sharing's ``v_d`` and ``v_u`` are held per link, (runs, t, L, ...).
     """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
@@ -321,6 +351,7 @@ class _Sampler:
         self.op = op
         self.mode = mode
         self.m = m
+        self.adaptive = adaptive
         self.colour_u = _colouring(psd_factor(network.nodes.r_u))
         self.sig_v = np.sqrt(network.nodes.sigma_v2)
         ln = network.link_noise
@@ -328,12 +359,15 @@ class _Sampler:
         self.need_psi = (op.need_v_psi_static or adaptive) and bool(np.any(ln.r_psi))
         self.need_d = op.c_cross and bool(np.any(ln.sigma_d2))
         self.need_u_link = op.c_cross and bool(np.any(ln.r_u_link))
-        self.colour_w = _colouring(psd_factor(ln.r_w))
-        self.colour_psi = _colouring(psd_factor(ln.r_psi))
+        psi_factors = psd_factor(ln.r_psi)
+        self.gains_w = _receiver_gains(op.a1_link, psd_factor(ln.r_w), op.links.starts)
+        self.gains_psi = _receiver_gains(op.a2_link, psi_factors, op.links.starts)
+        self.colour_psi = _colouring(psi_factors)
         self.colour_u_link = _colouring(psd_factor(ln.r_u_link))
         self.sig_d = np.sqrt(ln.sigma_d2)
         self.chol_eta = (psd_factor(network.weights.r_eta)
                          if mode == "random_walk" else None)
+        self.block = np.empty(0, dtype=complex)  # one receiver's in-link draws, every run
         self.gens = []
         for run in runs:
             g = {
@@ -367,6 +401,28 @@ class _Sampler:
                     crandn(gen, out=z[i, :, lo:hi])
         return z
 
+    def _sum_links(self, source: str, key: str, t: int, gains: list) -> np.ndarray:
+        """Receiver sums of shape (runs, t, N, M), drawn as ``_draw_links`` draws.
+
+        In each run, node k's stream fills a contiguous (t, deg_k, M) block of
+        its in-links; one product by ``gains[k]`` takes the blocks of all runs
+        to k's rows. A node without in-links gets zero.
+        """
+        runs = len(self.gens)
+        out = self._buffer(key, t, (self.op.n, self.m))
+        size = runs * t * max(map(len, gains))
+        if self.block.size < size:
+            self.block = np.empty(size, dtype=complex)
+        for k, gain in enumerate(gains):
+            if not len(gain):
+                out[:, :, k] = 0.0
+                continue
+            block = self.block[:runs * t * len(gain)].reshape(runs, t, len(gain))
+            for i, g in enumerate(self.gens):
+                crandn(g[source][k], out=block[i].reshape(t, -1, self.m))
+            np.matmul(block, gain, out=out[:, :, k])
+        return out
+
     def window(self, t: int) -> dict:
         """Draw all noise for the next ``t`` iterations of this chunk."""
         n = self.op.n
@@ -388,9 +444,11 @@ class _Sampler:
                                    out=self._buffer("eta", t, (self.m,)))
         vec = (self.m,)
         if self.need_w:
-            out["v_w"] = self.colour_w(self._draw_links("w", "v_w", t, vec))
-        if self.need_psi:
+            out["v_w"] = self._sum_links("w", "v_w", t, self.gains_w)
+        if self.need_psi and self.adaptive:
             out["v_psi"] = self.colour_psi(self._draw_links("psi", "v_psi", t, vec))
+        elif self.need_psi:
+            out["v_psi"] = self._sum_links("psi", "v_psi", t, self.gains_psi)
         if self.need_d:
             z = self._draw_links("d", "v_d", t, ())
             out["v_d"] = np.multiply(z, self.sig_d, out=z)

@@ -1,6 +1,7 @@
 """Acceptance gate: end-to-end checks tying theory, engine, and rules together."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,7 +246,12 @@ def test_criterion_5_single_step_error_identity():
                 v_w=cx((n_links, m)), v_psi=cx((n_links, m)),
                 v_d=cx((n_links,)), v_u=cx((n_links, m)),
             )
-            out = diffusion_step(DiffusionState(w=w_prev.copy()), op, data)
+            # the engine takes each static combine's link noise as receiver sums
+            summed = replace(
+                data,
+                v_w=op.links.segment_sum(op.a1_link[:, None] * data.v_w, axis=-2),
+                v_psi=op.links.segment_sum(op.a2_link[:, None] * data.v_psi, axis=-2))
+            out = diffusion_step(DiffusionState(w=w_prev.copy()), op, summed)
             w_ref = literal_step(net, mats, w_prev, data)
             err_sim = data.w_true[None, :] - out.w
             err_ref = data.w_true[None, :] - w_ref

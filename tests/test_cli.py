@@ -425,6 +425,23 @@ class TestScenarioSchema:
         assert message.format(**data["links"][0]) in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("nodes", 3, "nodes must be a list of node entries, got 3"),
+        ("edges", 5, "edges must be a list of [from, to] pairs, got 5"),
+        ("links", 7, "links must be a list of link entries, got 7"),
+        ("edges", [[1, 2, 3]], "edges must be a list of [from, to] pairs, got [1, 2, 3]"),
+    ], ids=["nodes-number", "edges-number", "links-number", "edge-triple"])
+    def test_network_list_of_the_wrong_shape_names_the_field(self, key, value, message,
+                                                             tmp_path, capsys):
+        cfg = write_scenario(tmp_path, random_network(3, 4, 2, 0.6, NOISY_RANGES), runs=1,
+                             iterations=10)
+        data = json.loads((tmp_path / "net.json").read_text())
+        data[key] = value
+        (tmp_path / "net.json").write_text(json.dumps(data))
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_node_count_is_checked_before_the_topology_is_built(self, tmp_path, capsys,
                                                                 monkeypatch):
         """A million-node adjacency would take 931 GiB; the four node entries refute it first."""
@@ -609,6 +626,23 @@ class TestCompare:
         sim = [float(r["sim_msd_db"]) for r in rows]
         assert sim == sorted(sim)
         assert "'rotation'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iterations, settled", [(10, False), (520, True)])
+    def test_unsettled_tail_is_noted_without_failing(self, iterations, settled, tmp_path,
+                                                     capsys):
+        """rho(B) is about 0.988 for both rules: five time constants are about 410
+        iterations, so the tail of 520 starts after them and the tail of 10 does not."""
+        net = random_network(10, 4, 2, 0.6, NOISY_RANGES)
+        cfg = write_scenario(tmp_path, net, runs=2, iterations=iterations, seed=1,
+                             rules={"a1": "identity", "c": "identity"})
+        assert main(["compare", "--config", str(cfg), "--rules", "uniform,metropolis",
+                     "--simulate"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("tail not settled: curve too short") == (0 if settled else 2)
+        with open(tmp_path / "compare.csv") as fh:
+            assert fh.readline() == "rule,theory_msd_db,theory_emse_db,sim_msd_db,divergent_runs\n"
+        rows = read_compare(tmp_path / "compare.csv").values()
+        assert all(row["sim_msd_db"] != "" for row in rows)
 
     def test_single_rule_rejected(self, tmp_path):
         cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from diffnet.simulate import (
     trajectory_to_csv,
 )
 from diffnet.linalg import psd_factor
-from diffnet.simulate import BLOCK, _colouring, _Sampler, _simulate_chunk, _resolve_mode
+from diffnet.simulate import (BLOCK, WINDOW, _colouring, _resolve_mode, _Sampler,
+                              _simulate_chunk)
 from reference import AdaptiveWeightState, adaptive_update, simulate_chunk
 
 NOISY_RANGES = VarianceRanges(
@@ -119,6 +121,16 @@ def noisy_pair_network(seed=0, n=4, m=2):
     return random_network(seed, n, m, 0.6, NOISY_RANGES)
 
 
+def general_link_noise(net, seed=0):
+    """Give every link its own full-rank, non-isotropic r_w, r_psi and r_u_link."""
+    gen = np.random.default_rng(seed)
+    ln, shape = net.link_noise, (len(net.links), net.m_dim, net.m_dim)
+    for name in ("r_w", "r_psi", "r_u_link"):
+        g = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        setattr(ln, name, 5e-3 * (g @ g.conj().swapaxes(1, 2) + 0.1 * np.eye(net.m_dim)))
+    return net
+
+
 class TestPerturbExchange:
     """Link noise on exchanged data, as the engine draws it per window."""
 
@@ -137,8 +149,9 @@ class TestPerturbExchange:
         gen = np.random.default_rng(1)
         state = DiffusionState(w=gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2)))
         data = random_step_data(gen, net)
-        loud = StepData(u=data.u, v=data.v, w_true=data.w_true, v_w=1e6 * data.v_w,
-                        v_psi=1e6 * data.v_psi, v_d=1e6 * data.v_d, v_u=1e6 * data.v_u)
+        loud = receiver_sums(op, StepData(
+            u=data.u, v=data.v, w_true=data.w_true, v_w=1e6 * data.v_w,
+            v_psi=1e6 * data.v_psi, v_d=1e6 * data.v_d, v_u=1e6 * data.v_u))
         quiet = StepData(u=data.u, v=data.v, w_true=data.w_true)
         assert np.array_equal(diffusion_step(state, op, loud).w,
                               diffusion_step(state, op, quiet).w)
@@ -164,14 +177,71 @@ class TestPerturbExchange:
         assert np.all(np.abs(var - target) / target < 0.05)
 
     def test_vector_payload_noise_covariance(self):
-        net = noisy_pair_network()
-        mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
-        _, draws = window_draws(net, mats, 40000, seed=4)
-        noise = draws["v_psi"][0]
-        emp = np.einsum("ipa,ipb->pab", noise.conj(), noise) / 40000
-        target = net.link_noise.r_psi
-        err = np.linalg.norm(emp - target, axis=(1, 2)) / np.linalg.norm(target, axis=(1, 2))
-        assert np.all(err < 0.05)
+        """A static A2 gets sum_l a_lk v_lk per receiver, of covariance
+        sum_l |a_lk|^2 R_psi,l; the adaptive rule gets each link's v_lk. Both with
+        isotropic and with general per-link covariances."""
+        for general in (False, True):
+            net = noisy_pair_network()
+            if general:
+                general_link_noise(net)
+            mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
+            for adaptive in (False, True):
+                sampler, draws = window_draws(net, mats, 40000, adaptive=adaptive, seed=4)
+                noise = draws["v_psi"][0]
+                emp = np.einsum("ipa,ipb->pab", noise.conj(), noise) / 40000
+                target = net.link_noise.r_psi
+                if not adaptive:
+                    op = sampler.op
+                    target = op.links.segment_sum(
+                        np.abs(op.a2_link[:, None, None]) ** 2 * target, axis=0)
+                assert noise.shape[1] == len(target) == (len(net.links) if adaptive
+                                                         else net.n_nodes)
+                err = (np.linalg.norm(emp - target, axis=(1, 2))
+                       / np.linalg.norm(target, axis=(1, 2)))
+                assert np.all(err < 0.05), (general, adaptive)
+
+
+class TestSamplerMemory:
+    """A static rule's window holds receiver sums, O(runs t N M); no buffer has a link axis."""
+
+    RUNS = 3
+
+    def window(self, layout, adaptive=False):
+        net = general_link_noise(random_network(2, 30, 2, 0.3, NOISY_RANGES))
+        a, eye = uniform(net.topology), np.eye(30)
+        mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
+                "cta": CombinationMatrices(a1=a, c=eye, a2=eye)}[layout]
+        sampler = _Sampler(net, StepOperator(net, mats), "constant", RngPolicy(0),
+                           list(range(self.RUNS)), adaptive)
+        return net, sampler, sampler.window(WINDOW)
+
+    @pytest.mark.parametrize("layout, key", [("atc", "v_psi"), ("cta", "v_w")])
+    def test_static_rules_hold_receiver_sums(self, layout, key):
+        net, sampler, draws = self.window(layout)
+        n, m, n_links = net.n_nodes, net.m_dim, len(net.links)
+        assert n_links > 4 * n
+        assert draws[key].shape == (self.RUNS, WINDOW, n, m)
+        assert all(n_links not in buf.shape[2:] for buf in sampler.buffers.values())
+        max_in = int(np.max(np.diff(net.topology.link_table().starts)))
+        held = sum(buf.nbytes for buf in sampler.buffers.values()) + sampler.block.nbytes
+        assert held < self.RUNS * WINDOW * (3 * n * m + max_in * m) * 16
+
+    def test_adaptive_rule_keeps_per_link_noise(self):
+        net, _, draws = self.window("atc", adaptive=True)
+        assert draws["v_psi"].shape == (self.RUNS, WINDOW, len(net.links), net.m_dim)
+
+
+class TestReceiverSums:
+    def test_sums_are_the_weighted_per_link_draws(self):
+        """The static A2's receiver sums against the adaptive rule's per-link draws of the
+        same streams, weighted and summed afterwards."""
+        net = general_link_noise(noisy_pair_network(n=6))
+        mats = CombinationMatrices(a1=np.eye(6), c=np.eye(6), a2=uniform(net.topology))
+        sampler, static = window_draws(net, mats, 40)
+        _, per_link = window_draws(net, mats, 40, adaptive=True)
+        op = sampler.op
+        want = op.links.segment_sum(op.a2_link[:, None] * per_link["v_psi"], axis=-2)
+        assert np.allclose(static["v_psi"], want, rtol=0, atol=1e-15)
 
 
 def reference_step(net, mats, w_prev, data):
@@ -216,7 +286,17 @@ def reference_step(net, mats, w_prev, data):
     return phi, psi, w_new
 
 
+def receiver_sums(op, data):
+    """``data`` with the static combines' link noise summed per receiver, as the engine
+    passes it: v_w becomes sum_l a1_lk v_lk and v_psi sum_l a2_lk v_lk."""
+    def summed(a_link, v):
+        return None if v is None else op.links.segment_sum(a_link[:, None] * v, axis=-2)
+
+    return replace(data, v_w=summed(op.a1_link, data.v_w), v_psi=summed(op.a2_link, data.v_psi))
+
+
 def random_step_data(gen, net):
+    """One step's draws with every link noise per link, as the literal references read it."""
     n, m = net.n_nodes, net.m_dim
     n_links = len(net.links)
 
@@ -263,7 +343,8 @@ class TestDiffusionStep:
             w_prev = (gen.standard_normal((5, 2)) + 1j * gen.standard_normal((5, 2)))
             state = DiffusionState(w=w_prev.copy())
             data = random_step_data(gen, net)
-            out = diffusion_step(state, StepOperator(net, mats), data)
+            op = StepOperator(net, mats)
+            out = diffusion_step(state, op, receiver_sums(op, data))
             phi_ref, psi_ref, w_ref = reference_step(net, mats, w_prev, data)
             assert np.allclose(out.phi, phi_ref, atol=1e-13)
             assert np.allclose(out.psi, psi_ref, atol=1e-13)
@@ -279,7 +360,7 @@ class TestDiffusionStep:
         gen = np.random.default_rng(9)
         state = DiffusionState(w=(gen.standard_normal((4, 2))
                                   + 1j * gen.standard_normal((4, 2))))
-        data = random_step_data(gen, net)
+        data = receiver_sums(op_fast, random_step_data(gen, net))
         a = diffusion_step(state, op_fast, data)
         b = diffusion_step(state, op_slow, data)
         assert np.array_equal(a.w, b.w)
@@ -293,13 +374,13 @@ class TestDiffusionStep:
                                   + 1j * gen.standard_normal((4, 2))))
         data = random_step_data(gen, net)
         n_links = len(net.links)
-        zero = StepData(u=data.u, v=data.v, w_true=data.w_true,
-                        v_w=np.zeros((n_links, 2), dtype=complex),
-                        v_psi=np.zeros((n_links, 2), dtype=complex),
-                        v_d=np.zeros(n_links, dtype=complex),
-                        v_u=np.zeros((n_links, 2), dtype=complex))
-        none = StepData(u=data.u, v=data.v, w_true=data.w_true)
         op = StepOperator(net, mats)
+        zero = receiver_sums(op, StepData(u=data.u, v=data.v, w_true=data.w_true,
+                                          v_w=np.zeros((n_links, 2), dtype=complex),
+                                          v_psi=np.zeros((n_links, 2), dtype=complex),
+                                          v_d=np.zeros(n_links, dtype=complex),
+                                          v_u=np.zeros((n_links, 2), dtype=complex)))
+        none = StepData(u=data.u, v=data.v, w_true=data.w_true)
         a = diffusion_step(state, op, zero)
         b = diffusion_step(state, op, none)
         assert np.array_equal(a.w, b.w)
@@ -316,11 +397,12 @@ class TestDiffusionStep:
             return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
         w = cx((batch, 4, 2))
-        data = StepData(u=cx((batch, 4, 2)), v=cx((batch, 4)),
-                        w_true=cx((2,)),
-                        v_w=cx((batch, n_links, 2)), v_psi=cx((batch, n_links, 2)),
-                        v_d=cx((batch, n_links)), v_u=cx((batch, n_links, 2)))
         op = StepOperator(net, mats)
+        data = receiver_sums(op, StepData(u=cx((batch, 4, 2)), v=cx((batch, 4)),
+                                          w_true=cx((2,)),
+                                          v_w=cx((batch, n_links, 2)),
+                                          v_psi=cx((batch, n_links, 2)),
+                                          v_d=cx((batch, n_links)), v_u=cx((batch, n_links, 2))))
         out = diffusion_step(DiffusionState(w=w), op, data)
         for b in range(batch):
             single = StepData(u=data.u[b], v=data.v[b], w_true=data.w_true,
@@ -401,7 +483,7 @@ class TestNodesWithoutLinks:
         data = random_step_data(gen, net)
         op = StepOperator(net, mats)
         op.a1_identity = op.a2_identity = False  # the single node's combines are identities
-        out = diffusion_step(DiffusionState(w=w_prev.copy()), op, data)
+        out = diffusion_step(DiffusionState(w=w_prev.copy()), op, receiver_sums(op, data))
         for got, want in zip((out.phi, out.psi, out.w), reference_step(net, mats, w_prev, data)):
             assert np.allclose(got, want, atol=1e-13)
 
@@ -745,6 +827,30 @@ def test_chunking_and_threads_do_not_change_any_output(case):
             for name in fields:
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("layout", ["atc", "cta", "sharing", "adaptive"])
+def test_general_link_noise_is_chunk_and_thread_invariant(layout):
+    """Each link's own non-isotropic colouring, folded into the receiver gains, keeps
+    every output byte-identical across chunk sizes and threads."""
+    net = general_link_noise(random_network(7, 5, 2, 0.6, NOISY_RANGES), seed=1)
+    a, eye = uniform(net.topology), np.eye(5)
+    mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
+            "cta": CombinationMatrices(a1=a, c=eye, a2=eye),
+            "sharing": CombinationMatrices(a1=a, c=a.T, a2=a),
+            "adaptive": CombinationMatrices(a1=a, c=eye, a2=a)}[layout]
+
+    def simulate(chunk_size, threads):
+        opts = SimulationOptions(adaptive_slot="a2" if layout == "adaptive" else None,
+                                 record_mean_error=True, chunk_size=chunk_size, threads=threads)
+        return run_monte_carlo(net, mats, opts, runs=5, iterations=WINDOW + 20,
+                               rng_policy=RngPolicy(2))
+
+    want = simulate(5, 1)
+    for chunk_size, threads in ((1, 1), (2, 2), (3, 1), (4, 2)):
+        got = simulate(chunk_size, threads)
+        for name in ("msd", "emse", "mean_error", "mean_error_stderr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestSteadyStateLevel:
