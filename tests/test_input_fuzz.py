@@ -71,6 +71,8 @@ def mutated_scenarios(draw):
         parent, target = None, data
         try:
             for key in path:
+                if not isinstance(target, (dict, list)):  # a string indexes, but is no container
+                    raise TypeError(key)
                 parent, target = target, target[key]
         except (KeyError, IndexError, TypeError):  # an earlier mutation removed the path
             continue
