@@ -319,6 +319,9 @@ def _simulate_curve(scenario: ScenarioConfig, matrices, adaptive: bool,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    except MemoryError:
+        raise ConfigError(f"runs = {scenario.runs} and iterations = {scenario.iterations} "
+                          "need more memory than is available; lower them")
 
 
 def _fmt_db(value) -> str:

@@ -125,14 +125,6 @@ class Topology:
             adj[k, l] = True
         return cls(n_nodes=n_nodes, adjacency=adj)
 
-    def neighbors(self, k: int) -> np.ndarray:
-        """Sorted neighborhood of node k, including k itself."""
-        return np.flatnonzero(self.adjacency[:, k])
-
-    def degree(self, k: int) -> int:
-        """Neighborhood size |N_k|, counting the node itself."""
-        return int(np.count_nonzero(self.adjacency[:, k]))
-
     def cross_edges(self):
         """Undirected cross pairs (l, k) with l < k."""
         n = self.n_nodes

@@ -15,12 +15,12 @@ iteration blocks over which the curves are reduced; runs are reduced in
 run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
 per stream.
 
-A static combine uses its link noise only through each receiver's weighted
-sum sum_l a_lk v_lk, so the sampler reduces a receiver's in-link block to
-that sum as soon as it is drawn: a window of a static rule holds
-O(runs WINDOW N M) noise. Only the adaptive rule's intermediate-estimate
-noise and data sharing's measurement and regressor noise are held per link,
-since their terms depend on each received value.
+The sampler draws every noise source through one table: regressors and
+measurement noise per node, the four link sources per receiver, and the
+random walk's increments. A static combine uses its link noise only through
+each receiver's weighted sum sum_l a_lk v_lk, so that source is reduced to
+the sum as it is drawn and a static rule's window holds O(runs WINDOW N M)
+noise; the adaptive rule and data sharing read each link's noise.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -176,8 +176,6 @@ class StepOperator:
         self.a1_self, self.a2_self = np.diag(a1), np.diag(a2)
         self.a1_link, self.a2_link = a1[self.src, self.dst], a2[self.src, self.dst]
         self.c_link = mu[self.dst] * matrices.c[self.src, self.dst] + 0j
-        self.need_v_w = bool(np.any(self.a1_link))
-        self.need_v_psi_static = bool(np.any(self.a2_link))
         self.c_cross = bool(np.any(self.c_link))
         self.mu_c_diag = (mu * np.diag(matrices.c))[:, None] + 0j
 
@@ -321,6 +319,19 @@ def _colouring(factors: np.ndarray):
     return colour
 
 
+def _scaling(variances: np.ndarray):
+    """The map scaling slot p of z by sqrt(variances[p]); it overwrites z and returns it."""
+    sig = np.sqrt(variances)
+    return lambda z: np.multiply(z, sig, out=z)
+
+
+def _increments(r_eta: np.ndarray):
+    """The map colouring the random walk's one-slot draws by r_eta's factor in place;
+    it returns them as (runs, t, M) increments."""
+    rows = psd_factor(r_eta).conj()
+    return lambda z: np.einsum("rtm,pm->rtp", z[:, :, 0].copy(), rows, out=z[:, :, 0])
+
+
 def _receiver_gains(a_link: np.ndarray, factors: np.ndarray, starts: np.ndarray) -> list:
     """Per receiver k, the (deg_k M, M) matrix G_k[l, m, q] = a_lk conj(F_l[q, m]).
 
@@ -333,128 +344,78 @@ def _receiver_gains(a_link: np.ndarray, factors: np.ndarray, starts: np.ndarray)
 
 
 class _Sampler:
-    """Window-sized noise draws for a chunk of runs, per-stream bulk draws.
+    """Window-sized noise draws for a chunk of runs, from one table of sources.
 
-    Each kind of draw has one (runs, t) + shape buffer, sized by the first
-    window and refilled in place by every later one. A window's draws are
-    views into these buffers and are overwritten by the next window, so a
-    chunk holds one window of noise however many windows it runs. The
-    static combines' link noise is held as receiver sums, (runs, t, N, M);
-    each receiver's in-link draws pass through one (runs, t, deg_k, M)
-    scratch block on their way there. Only the adaptive rule's ``v_psi``
-    and data sharing's ``v_d`` and ``v_u`` are held per link, (runs, t, L, ...).
+    A source (stream, key, slots, tail, fix) is in the table when the network
+    and combine give it noise to carry. In every run, owner k's stream fills
+    slots slots[k]:slots[k + 1] of the (runs, t, slots[-1]) + tail buffer for
+    ``key``: a node source owns one slot per node, a link source its
+    receiver's in-links (``LinkTable.starts``), the random walk one slot.
+    ``fix`` colours or scales the filled buffer in place. A static combine's
+    ``fix`` is its receiver gains instead: each owner's draws pass through the
+    scratch ``block``, and one product writes its row of a (runs, t, N, M)
+    buffer of receiver sums, so only the adaptive ``v_psi`` and data
+    sharing's ``v_d`` and ``v_u`` are held per link. Buffers are sized by
+    the first window and refilled in place, so a chunk holds one window of
+    noise however many windows it runs.
     """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
                  policy: RngPolicy, runs: list[int], adaptive: bool):
-        n, m = op.n, op.m
         self.op = op
-        self.mode = mode
-        self.m = m
-        self.adaptive = adaptive
-        self.colour_u = _colouring(psd_factor(network.nodes.r_u))
-        self.sig_v = np.sqrt(network.nodes.sigma_v2)
-        ln = network.link_noise
-        self.need_w = op.need_v_w and bool(np.any(ln.r_w))
-        self.need_psi = (op.need_v_psi_static or adaptive) and bool(np.any(ln.r_psi))
-        self.need_d = op.c_cross and bool(np.any(ln.sigma_d2))
-        self.need_u_link = op.c_cross and bool(np.any(ln.r_u_link))
-        psi_factors = psd_factor(ln.r_psi)
-        self.gains_w = _receiver_gains(op.a1_link, psd_factor(ln.r_w), op.links.starts)
-        self.gains_psi = _receiver_gains(op.a2_link, psi_factors, op.links.starts)
-        self.colour_psi = _colouring(psi_factors)
-        self.colour_u_link = _colouring(psd_factor(ln.r_u_link))
-        self.sig_d = np.sqrt(ln.sigma_d2)
-        self.chol_eta = (psd_factor(network.weights.r_eta)
-                         if mode == "random_walk" else None)
-        self.block = np.empty(0, dtype=complex)  # one receiver's in-link draws, every run
-        self.gens = []
-        for run in runs:
-            g = {
-                "u": [policy.stream(run, "u", k) for k in range(n)],
-                "v": [policy.stream(run, "v", k) for k in range(n)],
-            }
-            if mode == "random_walk":
-                g["eta"] = policy.stream(run, "eta")
-            for source, needed in (("w", self.need_w), ("psi", self.need_psi),
-                                   ("d", self.need_d), ("u_link", self.need_u_link)):
-                if needed:
-                    g[source] = [policy.stream(run, source, k) for k in range(n)]
-            self.gens.append(g)
+        ln, vec, starts = network.link_noise, (op.m,), op.links.starts
+        nodes, links = list(range(op.n + 1)), starts.tolist()
+        table = (
+            ("u", "u", nodes, vec, _colouring(psd_factor(network.nodes.r_u))),
+            ("v", "v", nodes, (), _scaling(network.nodes.sigma_v2)),
+            mode == "random_walk" and (
+                "eta", "eta", [0, 1], vec, _increments(network.weights.r_eta)),
+            np.any(op.a1_link) and np.any(ln.r_w) and (
+                "w", "v_w", links, vec, _receiver_gains(op.a1_link, psd_factor(ln.r_w), starts)),
+            (adaptive or np.any(op.a2_link)) and np.any(ln.r_psi) and (
+                "psi", "v_psi", links, vec,
+                _colouring(psd_factor(ln.r_psi)) if adaptive
+                else _receiver_gains(op.a2_link, psd_factor(ln.r_psi), starts)),
+            op.c_cross and np.any(ln.sigma_d2) and ("d", "v_d", links, (), _scaling(ln.sigma_d2)),
+            op.c_cross and np.any(ln.r_u_link) and (
+                "u_link", "v_u", links, vec, _colouring(psd_factor(ln.r_u_link))),
+        )
+        self.sources = [source for source in table if source]
+        self.gens = [{stream: [policy.stream(run, stream, k) for k in range(len(slots) - 1)]
+                      for stream, _, slots, _, _ in self.sources} for run in runs]
         self.buffers = {}
+        self.block = np.empty(0, dtype=complex)  # one owner's draws, every run
 
     def _buffer(self, key: str, t: int, tail: tuple) -> np.ndarray:
-        """The first ``t`` iterations of the (runs, t) + ``tail`` buffer for ``key``."""
+        """The first ``t`` iterations of the (runs, t) + ``tail`` buffer for ``key``; zeroed
+        when made, as the sums of receivers without in-links are never written."""
         buf = self.buffers.get(key)
         if buf is None or buf.shape[1] < t:
-            buf = self.buffers[key] = np.empty((len(self.gens), t) + tail, dtype=complex)
+            buf = self.buffers[key] = np.zeros((len(self.gens), t) + tail, dtype=complex)
         return buf[:, :t]
 
-    def _draw_links(self, source: str, key: str, t: int, tail: tuple) -> np.ndarray:
-        """Standard draws of shape (runs, t, L) + tail; node k's stream fills its in-links."""
-        starts = self.op.links.starts
-        z = self._buffer(key, t, (len(self.op.src),) + tail)
-        for i, g in enumerate(self.gens):
-            for k, gen in enumerate(g[source]):
-                lo, hi = starts[k], starts[k + 1]
-                if hi > lo:
-                    crandn(gen, out=z[i, :, lo:hi])
-        return z
-
-    def _sum_links(self, source: str, key: str, t: int, gains: list) -> np.ndarray:
-        """Receiver sums of shape (runs, t, N, M), drawn as ``_draw_links`` draws.
-
-        In each run, node k's stream fills a contiguous (t, deg_k, M) block of
-        its in-links; one product by ``gains[k]`` takes the blocks of all runs
-        to k's rows. A node without in-links gets zero.
-        """
-        runs = len(self.gens)
-        out = self._buffer(key, t, (self.op.n, self.m))
-        size = runs * t * max(map(len, gains))
-        if self.block.size < size:
+    def _draw(self, t: int, stream: str, key: str, slots: list, tail: tuple, fix) -> np.ndarray:
+        """One source's draws for the next ``t`` iterations, mapped by ``fix``."""
+        runs, summed = len(self.gens), isinstance(fix, list)
+        z = self._buffer(key, t, (len(slots) - 1 if summed else slots[-1],) + tail)
+        if summed and self.block.size < (size := runs * t * max(map(len, fix))):
             self.block = np.empty(size, dtype=complex)
-        for k, gain in enumerate(gains):
-            if not len(gain):
-                out[:, :, k] = 0.0
+        for k, (lo, hi) in enumerate(zip(slots, slots[1:])):
+            if hi == lo:
                 continue
-            block = self.block[:runs * t * len(gain)].reshape(runs, t, len(gain))
-            for i, g in enumerate(self.gens):
-                crandn(g[source][k], out=block[i].reshape(t, -1, self.m))
-            np.matmul(block, gain, out=out[:, :, k])
-        return out
+            if summed:
+                part = self.block[:runs * t * len(fix[k])].reshape((runs, t, hi - lo) + tail)
+            else:  # one slot is indexed, as crandn fills a strided view faster without a unit axis
+                part = z[:, :, lo] if hi - lo == 1 else z[:, :, lo:hi]
+            for g, row in zip(self.gens, part):
+                crandn(g[stream][k], out=row)
+            if summed:
+                np.matmul(part.reshape(runs, t, -1), fix[k], out=z[:, :, k])
+        return z if summed else fix(z)
 
     def window(self, t: int) -> dict:
         """Draw all noise for the next ``t`` iterations of this chunk."""
-        n = self.op.n
-        zu = self._buffer("u", t, (n, self.m))
-        zv = self._buffer("v", t, (n,))
-        for i, g in enumerate(self.gens):
-            for k in range(n):
-                crandn(g["u"][k], out=zu[i, :, k])
-                crandn(g["v"][k], out=zv[i, :, k])
-        out = {
-            "u": self.colour_u(zu),
-            "v": np.multiply(zv, self.sig_v, out=zv),
-        }
-        if self.mode == "random_walk":
-            zeta = self._buffer("zeta", t, (self.m,))
-            for i, g in enumerate(self.gens):
-                crandn(g["eta"], out=zeta[i])
-            out["eta"] = np.einsum("rtm,pm->rtp", zeta, self.chol_eta.conj(),
-                                   out=self._buffer("eta", t, (self.m,)))
-        vec = (self.m,)
-        if self.need_w:
-            out["v_w"] = self._sum_links("w", "v_w", t, self.gains_w)
-        if self.need_psi and self.adaptive:
-            out["v_psi"] = self.colour_psi(self._draw_links("psi", "v_psi", t, vec))
-        elif self.need_psi:
-            out["v_psi"] = self._sum_links("psi", "v_psi", t, self.gains_psi)
-        if self.need_d:
-            z = self._draw_links("d", "v_d", t, ())
-            out["v_d"] = np.multiply(z, self.sig_d, out=z)
-        if self.need_u_link:
-            out["v_u"] = self.colour_u_link(self._draw_links("u_link", "v_u", t, vec))
-        return out
+        return {source[1]: self._draw(t, *source) for source in self.sources}
 
 
 def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
@@ -548,14 +509,16 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
     op = StepOperator(network, matrices)
     n, m = op.n, op.m
 
-    chunks = [list(range(lo, min(lo + options.chunk_size, runs)))
-              for lo in range(0, runs, options.chunk_size)]
-    jobs = (lambda ch: _simulate_chunk(network, op, mode, options, rng_policy, ch, iterations))
-    if options.threads > 1 and len(chunks) > 1:
+    starts = range(0, runs, options.chunk_size)
+
+    def job(lo):
+        chunk = list(range(lo, min(lo + options.chunk_size, runs)))
+        return _simulate_chunk(network, op, mode, options, rng_policy, chunk, iterations)
+
+    if options.threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            results = pool.map(jobs, chunks)
-            return _reduce(list(results), runs, iterations, n, m, options)
-    return _reduce([jobs(ch) for ch in chunks], runs, iterations, n, m, options)
+            return _reduce(list(pool.map(job, starts)), runs, iterations, n, m, options)
+    return _reduce([job(lo) for lo in starts], runs, iterations, n, m, options)
 
 
 def _reduce(results, runs, iterations, n, m, options) -> LearningCurve:

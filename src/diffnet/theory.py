@@ -269,11 +269,15 @@ def _stein_solve(b: np.ndarray, numerators, rho_b: float) -> np.ndarray:
     raise InstabilityError(f"Stein solve did not converge within {STEIN_MAX_STEPS} doubling steps")
 
 
-def _steady_state_values(md: MeanDynamics, numerators, omegas) -> list[list[float]]:
-    """tr(X omega) for each numerator's Stein solution X and each weighting."""
-    xs = _stein_solve(md.b, numerators, md.rho_b)
-    return [[_check_real(complex(np.einsum("ij,ji->", x, omega)), "steady-state metric")
-             for omega in omegas] for x in xs]
+def _steady_state(network: NetworkModel, matrices: CombinationMatrices, md: MeanDynamics,
+                  r_eta: np.ndarray | None = None) -> list[tuple[float, float]]:
+    """(MSD, EMSE) for the Stein numerator W and, given ``r_eta``, for W + R_zeta, from one
+    Stein solve; ValueError if the combine does not keep R_zeta (``_tracking_numerator``)."""
+    w = assemble_noise_moments(network, matrices, md)
+    numerators = [w] if r_eta is None else [w, w + _tracking_numerator(md, r_eta)]
+    omegas = _omegas(network)
+    return [tuple(_check_real(complex(np.einsum("ij,ji->", x, omega)), "steady-state metric")
+                  for omega in omegas) for x in _stein_solve(md.b, numerators, md.rho_b)]
 
 
 def _omegas(network: NetworkModel) -> list[np.ndarray]:
@@ -284,10 +288,7 @@ def _omegas(network: NetworkModel) -> list[np.ndarray]:
 
 def network_metrics(network: NetworkModel, matrices: CombinationMatrices) -> tuple[float, float]:
     """(MSD, EMSE) in linear scale, one Stein solve for both."""
-    md = assemble_mean_dynamics(network, matrices)
-    msd, emse = _steady_state_values(md, [assemble_noise_moments(network, matrices, md)],
-                                     _omegas(network))[0]
-    return msd, emse
+    return _steady_state(network, matrices, assemble_mean_dynamics(network, matrices))[0]
 
 
 def series_msd(mean_dynamics: MeanDynamics, numerator: np.ndarray,
@@ -347,10 +348,8 @@ def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
         r_eta = network.weights.r_eta
     if r_eta is None:
         raise ValueError("tracking metrics need r_eta (none on the network)")
-    md = assemble_mean_dynamics(network, matrices)
-    r_zeta = _tracking_numerator(md, r_eta)
-    w = assemble_noise_moments(network, matrices, md)
-    (msd, emse), (msd_st, emse_st) = _steady_state_values(md, [w + r_zeta, w], _omegas(network))
+    (msd_st, emse_st), (msd, emse) = _steady_state(
+        network, matrices, assemble_mean_dynamics(network, matrices), r_eta)
     return TrackingMetrics(msd=msd, emse=emse, msd_stationary=msd_st, emse_stationary=emse_st)
 
 
@@ -476,15 +475,13 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
     elif network.weights.mode == "rotation":
         warnings.append("steady-state metrics omitted: no closed form for target mode 'rotation'")
     else:
-        w = assemble_noise_moments(network, matrices, md)
-        numerators = [w]
-        if network.weights.mode == "random_walk" and network.weights.r_eta is not None:
+        r_eta = network.weights.r_eta if network.weights.mode == "random_walk" else None
+        try:
             try:
-                numerators.append(w + _tracking_numerator(md, network.weights.r_eta))
+                values = _steady_state(network, matrices, md, r_eta)
             except ValueError as exc:
                 warnings.append(f"tracking metrics failed: {exc}")
-        try:
-            values = _steady_state_values(md, numerators, _omegas(network))
+                values = _steady_state(network, matrices, md)
             msd, emse = values[0]
             if len(values) > 1:
                 msd_track, emse_track = values[1]

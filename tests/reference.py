@@ -10,8 +10,8 @@ against. ``simulate_chunk`` is the engine's chunk loop with its learning-curve
 metrics computed one iteration at a time, the oracle for the block-wise
 reduction in ``diffnet.simulate._simulate_chunk``; ``crandn_two_draws`` is
 the complex sampler as two separate real draws and a complex division. The
-block maximum norm and the series EMSE are analysis helpers that only the
-tests use.
+block maximum norm, the series EMSE and a topology's ``neighbors`` and
+``degree`` are helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -24,6 +24,16 @@ from diffnet.network import CombinationMatrices, NetworkModel, Topology
 from diffnet.simulate import (DIVERGENCE_THRESHOLD, WINDOW, DiffusionState, StepData,
                               _Sampler, diffusion_step)
 from diffnet.theory import MeanDynamics, _block_diag, series_msd
+
+
+def neighbors(topology: Topology, k: int) -> np.ndarray:
+    """Sorted neighborhood of node k, including k itself."""
+    return np.flatnonzero(topology.adjacency[:, k])
+
+
+def degree(topology: Topology, k: int) -> int:
+    """Neighborhood size |N_k|, counting the node itself."""
+    return int(np.count_nonzero(topology.adjacency[:, k]))
 
 
 @dataclass
@@ -72,7 +82,7 @@ def adaptive_update(state: AdaptiveWeightState, topology: Topology, k: int,
     """
     if not 0 <= k < topology.n_nodes:
         raise ValueError(f"node {k} is outside 0..{topology.n_nodes - 1}")
-    nbrs = topology.neighbors(k)
+    nbrs = neighbors(topology, k)
     if psi_received.shape != (len(nbrs), len(w_prev)):
         raise ValueError(
             f"psi_received has shape {psi_received.shape}, expected ({len(nbrs)}, {len(w_prev)})"
@@ -113,10 +123,10 @@ def adaptive_update(state: AdaptiveWeightState, topology: Topology, k: int,
 def metropolis(topology: Topology) -> np.ndarray:
     """Metropolis weights built one receiving node at a time."""
     n = topology.n_nodes
-    deg = np.array([topology.degree(k) for k in range(n)])
+    deg = np.array([degree(topology, k) for k in range(n)])
     a = np.zeros((n, n))
     for k in range(n):
-        for l in topology.neighbors(k):
+        for l in neighbors(topology, k):
             if l != k:
                 a[l, k] = 1.0 / max(deg[k], deg[l])
         a[k, k] = 1.0 - a[:, k].sum()
@@ -128,7 +138,7 @@ def uniform(topology: Topology) -> np.ndarray:
     n = topology.n_nodes
     a = np.zeros((n, n))
     for k in range(n):
-        nbrs = topology.neighbors(k)
+        nbrs = neighbors(topology, k)
         a[nbrs, k] = 1.0 / len(nbrs)
     return a
 
@@ -138,7 +148,7 @@ def weights_from_gamma2(topology: Topology, gamma2: np.ndarray) -> np.ndarray:
     n = topology.n_nodes
     a = np.zeros((n, n))
     for k in range(n):
-        nbrs = topology.neighbors(k)
+        nbrs = neighbors(topology, k)
         g = gamma2[nbrs, k]
         zero = g == 0.0
         if zero.any():

@@ -39,7 +39,7 @@ from diffnet.theory import (
     step_size_bounds,
     tracking_metrics,
 )
-from reference import block_max_norm, series_emse
+from reference import block_max_norm, neighbors, series_emse
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -191,13 +191,13 @@ def literal_step(net, mats, w_prev, data):
 
     phi = np.zeros((n, m), dtype=complex)
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             recv = w_prev[l] + (data.v_w[pos[(int(l), k)]] if l != k else 0.0)
             phi[k] += mats.a1[l, k] * recv
 
     psi = phi.copy()
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             if mats.c[l, k] == 0.0:
                 continue
             if l == k:
@@ -210,7 +210,7 @@ def literal_step(net, mats, w_prev, data):
 
     w = np.zeros((n, m), dtype=complex)
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             recv = psi[l] + (data.v_psi[pos[(int(l), k)]] if l != k else 0.0)
             w[k] += mats.a2[l, k] * recv
     return w

@@ -227,6 +227,23 @@ class TestSimulate:
         monkeypatch.setenv("DIFFNET_THREADS", value)
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["compare", "--rules", "uniform,metropolis", "--simulate"]])
+    def test_run_that_cannot_fit_in_memory_is_config_error(self, command, tmp_path, capsys,
+                                                           monkeypatch):
+        import diffnet.cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(diffnet.cli, "run_monte_carlo", out_of_memory)
+        cfg = write_scenario(tmp_path, random_network(2, 4, 2, 0.6, NOISY_RANGES), runs=3,
+                             iterations=10 ** 12,
+                             rules={"a1": "identity", "c": "identity", "a2": "uniform"})
+        assert main(command + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert "runs = 3 and iterations = 1000000000000" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
 
 class TestScenarioSchema:
     @pytest.mark.parametrize("field, value, message", [

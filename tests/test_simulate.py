@@ -32,7 +32,8 @@ from diffnet.simulate import (
 from diffnet.linalg import psd_factor
 from diffnet.simulate import (BLOCK, WINDOW, _colouring, _resolve_mode, _Sampler,
                               _simulate_chunk)
-from reference import AdaptiveWeightState, adaptive_update, simulate_chunk
+from reference import (AdaptiveWeightState, adaptive_update, crandn_two_draws, neighbors,
+                       simulate_chunk)
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -244,6 +245,80 @@ class TestReceiverSums:
         assert np.allclose(static["v_psi"], want, rtol=0, atol=1e-15)
 
 
+def by_factor(z, factors):
+    """Row p of z's last two axes coloured by its own factor: sum_m z[..., p, m] conj(F_p[q, m])."""
+    return np.einsum("...pm,pqm->...pq", z, factors.conj())
+
+
+class TestSamplerStreams:
+    """Every window() key against direct draws from its own (run, source, owner) streams,
+    coloured, scaled and summed here, over two windows of a chunk of two runs."""
+
+    RUNS = [3, 5]
+
+    def sampler(self, adaptive):
+        net = general_link_noise(noisy_pair_network(n=5))
+        g = np.random.default_rng(8).standard_normal((2, 2, 2))
+        r_eta = 1e-3 * ((g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T + 0.1 * np.eye(2))
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0, r_eta=r_eta)
+        a = uniform(net.topology)
+        op = StepOperator(net, CombinationMatrices(a1=a, c=a.T, a2=a))
+        return net, op, _Sampler(net, op, "random_walk", RngPolicy(11), self.RUNS, adaptive)
+
+    @staticmethod
+    def direct(net, op, adaptive, stream, t):
+        """One run's window, drawn stream by stream with ``stream(source, owner)``."""
+        n, m, starts = net.n_nodes, net.m_dim, op.links.starts
+        ln = net.link_noise
+
+        def nodes(source, tail):
+            return np.stack([crandn_two_draws(stream(source, k), (t,) + tail)
+                             for k in range(n)], axis=1)
+
+        def links(source, tail):
+            return np.concatenate([crandn_two_draws(stream(source, k),
+                                                    (t, starts[k + 1] - starts[k]) + tail)
+                                   for k in range(n)], axis=1)
+
+        def receiver_sums(a_link, v):
+            return np.stack([np.sum(a_link[lo:hi, None] * v[:, lo:hi], axis=1)
+                             for lo, hi in zip(starts[:-1], starts[1:])], axis=1)
+
+        v_psi = by_factor(links("psi", (m,)), psd_factor(ln.r_psi))
+        return {
+            "u": by_factor(nodes("u", (m,)), psd_factor(net.nodes.r_u)),
+            "v": nodes("v", ()) * np.sqrt(net.nodes.sigma_v2),
+            "eta": by_factor(crandn_two_draws(stream("eta", 0), (t, 1, m)),
+                             psd_factor(net.weights.r_eta[None]))[:, 0],
+            "v_w": receiver_sums(op.a1_link, by_factor(links("w", (m,)), psd_factor(ln.r_w))),
+            "v_psi": v_psi if adaptive else receiver_sums(op.a2_link, v_psi),
+            "v_d": links("d", ()) * np.sqrt(ln.sigma_d2),
+            "v_u": by_factor(links("u_link", (m,)), psd_factor(ln.r_u_link)),
+        }
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_every_key_comes_from_its_own_streams(self, adaptive):
+        net, op, sampler = self.sampler(adaptive)
+        policy, streams = RngPolicy(11), {}
+
+        def stream(run):
+            def get(source, owner):
+                if (run, source, owner) not in streams:
+                    streams[run, source, owner] = policy.stream(run, source, owner)
+                return streams[run, source, owner]
+            return get
+
+        for t in (7, 5):  # the second window continues every stream
+            got = sampler.window(t)
+            assert sorted(got) == ["eta", "u", "v", "v_d", "v_psi", "v_u", "v_w"]
+            for i, run in enumerate(self.RUNS):
+                want = self.direct(net, op, adaptive, stream(run), t)
+                for key, x in want.items():
+                    assert got[key][i].shape == x.shape, key
+                    err = np.max(np.abs(got[key][i] - x))
+                    assert err <= 1e-15 * max(1.0, np.max(np.abs(x))), (key, err)
+
+
 def reference_step(net, mats, w_prev, data):
     """Plain-loop transcription of the three combine/adapt/combine steps."""
     topo = net.topology
@@ -255,7 +330,7 @@ def reference_step(net, mats, w_prev, data):
 
     phi = np.zeros((n, m), dtype=complex)
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             recv = w_prev[l].astype(complex)
             if l != k and data.v_w is not None:
                 recv = recv + data.v_w[pos[(int(l), k)]]
@@ -263,7 +338,7 @@ def reference_step(net, mats, w_prev, data):
 
     psi = phi.copy()
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             if mats.c[l, k] == 0.0:
                 continue
             u_recv = data.u[l].astype(complex)
@@ -278,7 +353,7 @@ def reference_step(net, mats, w_prev, data):
 
     w_new = np.zeros((n, m), dtype=complex)
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             recv = psi[l]
             if l != k and data.v_psi is not None:
                 recv = recv + data.v_psi[pos[(int(l), k)]]
@@ -426,7 +501,7 @@ class TestDiffusionStep:
             w_prev = state.w.copy()
             state = diffusion_step(state, op, data)
             for k in range(4):
-                nbrs = topo.neighbors(k)
+                nbrs = neighbors(topo, k)
                 rows = np.stack([
                     state.psi[l] if l == k else state.psi[l] + data.v_psi[pos[(int(l), k)]]
                     for l in nbrs
@@ -504,7 +579,7 @@ class TestNodesWithoutLinks:
             assert state.adaptive.a_self[isolated] == 1.0
             assert np.array_equal(state.w[isolated], state.psi[isolated])
             for k in range(5):
-                nbrs = topo.neighbors(k)
+                nbrs = neighbors(topo, k)
                 rows = np.stack([state.psi[l] if l == k
                                  else state.psi[l] + data.v_psi[pos[(int(l), k)]] for l in nbrs])
                 mirror, col = adaptive_update(mirror, topo, k, rows, w_prev[k])
@@ -560,7 +635,7 @@ def literal_mean_recursion(net, mats, iterations):
     r_prime = np.zeros((n, m, m), dtype=complex)
     drift = np.zeros((n, m), dtype=complex)
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             r_prime[k] += mats.c[l, k] * net.nodes.r_u[l]
             if l != k:
                 noise = net.link_noise.r_u_link[pos[(int(l), k)]]

@@ -30,7 +30,7 @@ from diffnet.theory import (
     theory_report,
     tracking_metrics,
 )
-from reference import block_max_norm, noise_numerator, series_emse
+from reference import block_max_norm, neighbors, noise_numerator, series_emse
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -102,7 +102,7 @@ def literal_mean_matrices(net, mats):
     drift = np.zeros((n, m), dtype=complex)
     w_o = np.asarray(net.weights.w0, dtype=complex)
     for k in range(n):
-        for l in topo.neighbors(k):
+        for l in neighbors(topo, k):
             r_prime[k] += mats.c[l, k] * net.nodes.r_u[l]
             if l != k:
                 noise = net.link_noise.r_u_link[pos[(int(l), k)]]
