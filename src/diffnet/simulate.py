@@ -18,9 +18,10 @@ per stream.
 The sampler draws every noise source through one table: regressors and
 measurement noise per node, the four link sources per receiver, and the
 random walk's increments. A static combine uses its link noise only through
-each receiver's weighted sum sum_l a_lk v_lk, so that source is reduced to
-the sum as it is drawn and a static rule's window holds O(runs WINDOW N M)
-noise; the adaptive rule and data sharing read each link's noise.
+each receiver's weighted sum sum_l a_lk v_lk, one circular Gaussian of
+covariance sum_l |a_lk|^2 R_lk, so each receiver draws it from M normals and
+a static rule's window holds O(runs WINDOW N M) noise; the adaptive rule and
+data sharing read each link's noise.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -70,7 +71,8 @@ class RngPolicy:
     SeedSequence(master_seed, spawn_key=(run, source_id, owner)); sources are
     "u" and "v" (owner = node), "eta" (the target's random-walk increments,
     owner 0), and the link sources "w", "psi", "d", "u_link" (owner = the
-    receiving node, covering its in-links in canonical link order).
+    receiving node: one draw per in-link in canonical link order, or, for a
+    static combine's "w" and "psi", one draw of the in-links' weighted sum).
     """
 
     master_seed: int
@@ -100,7 +102,7 @@ class StepData:
 
     u : (..., N, M) clean regressors; v : (..., N) measurement noise;
     w_true : (..., M) or (M,) true weight vector for this iteration.
-    v_w : (..., N, M) each receiver's combined estimate noise sum_l a1_lk v_lk.
+    v_w : (..., N, M) each receiver's own draw of its noise sum sum_l a1_lk v_lk.
     v_psi : the same receiver sums over A2, (..., N, M), for a static second
     combine; per link, (..., L, M), for the adaptive rule.
     v_u : (..., L, M) and v_d : (..., L) per-link noise on shared regressors
@@ -332,50 +334,44 @@ def _increments(r_eta: np.ndarray):
     return lambda z: np.einsum("rtm,pm->rtp", z[:, :, 0].copy(), rows, out=z[:, :, 0])
 
 
-def _receiver_gains(a_link: np.ndarray, factors: np.ndarray, starts: np.ndarray) -> list:
-    """Per receiver k, the (deg_k M, M) matrix G_k[l, m, q] = a_lk conj(F_l[q, m]).
-
-    A row of standard draws over k's in-links times G_k is k's combined link
-    noise sum_l a_lk v_lk, with each v_lk coloured by its factor F_l.
-    """
-    m = factors.shape[-1]
-    gains = a_link[:, None, None] * factors.conj().swapaxes(-1, -2)
-    return [gains[lo:hi].reshape(-1, m) for lo, hi in zip(starts[:-1], starts[1:])]
-
-
 class _Sampler:
     """Window-sized noise draws for a chunk of runs, from one table of sources.
 
     A source (stream, key, slots, tail, fix) is in the table when the network
     and combine give it noise to carry. In every run, owner k's stream fills
     slots slots[k]:slots[k + 1] of the (runs, t, slots[-1]) + tail buffer for
-    ``key``: a node source owns one slot per node, a link source its
-    receiver's in-links (``LinkTable.starts``), the random walk one slot.
-    ``fix`` colours or scales the filled buffer in place. A static combine's
-    ``fix`` is its receiver gains instead: each owner's draws pass through the
-    scratch ``block``, and one product writes its row of a (runs, t, N, M)
-    buffer of receiver sums, so only the adaptive ``v_psi`` and data
-    sharing's ``v_d`` and ``v_u`` are held per link. Buffers are sized by
-    the first window and refilled in place, so a chunk holds one window of
-    noise however many windows it runs.
+    ``key``, and ``fix`` colours or scales the filled buffer in place. A node
+    source owns one slot per node, the random walk one slot, and a per-link
+    source its receiver's in-links (``LinkTable.starts``). A static combine
+    uses its link noise only through each receiver's sum sum_l a_lk v_lk, a
+    circular Gaussian of covariance sum_l |a_lk|^2 R_lk, so that source is a
+    node source coloured by the sum's factor; only the adaptive ``v_psi`` and
+    data sharing's ``v_d`` and ``v_u`` are per link. Buffers are sized by the
+    first window and refilled in place, so a chunk holds one window of noise
+    however many windows it runs.
     """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
                  policy: RngPolicy, runs: list[int], adaptive: bool):
         self.op = op
-        ln, vec, starts = network.link_noise, (op.m,), op.links.starts
-        nodes, links = list(range(op.n + 1)), starts.tolist()
+        ln, vec = network.link_noise, (op.m,)
+        nodes, links = list(range(op.n + 1)), op.links.starts.tolist()
+
+        def summed(a_link, r):
+            """The colouring of each receiver's sum_l a_lk v_lk, v_lk of covariance r[l]."""
+            return _colouring(psd_factor(op.links.segment_sum(
+                np.abs(a_link[:, None, None]) ** 2 * r, axis=0)))
+
         table = (
             ("u", "u", nodes, vec, _colouring(psd_factor(network.nodes.r_u))),
             ("v", "v", nodes, (), _scaling(network.nodes.sigma_v2)),
             mode == "random_walk" and (
                 "eta", "eta", [0, 1], vec, _increments(network.weights.r_eta)),
             np.any(op.a1_link) and np.any(ln.r_w) and (
-                "w", "v_w", links, vec, _receiver_gains(op.a1_link, psd_factor(ln.r_w), starts)),
+                "w", "v_w", nodes, vec, summed(op.a1_link, ln.r_w)),
             (adaptive or np.any(op.a2_link)) and np.any(ln.r_psi) and (
-                "psi", "v_psi", links, vec,
-                _colouring(psd_factor(ln.r_psi)) if adaptive
-                else _receiver_gains(op.a2_link, psd_factor(ln.r_psi), starts)),
+                ("psi", "v_psi", links, vec, _colouring(psd_factor(ln.r_psi))) if adaptive
+                else ("psi", "v_psi", nodes, vec, summed(op.a2_link, ln.r_psi))),
             op.c_cross and np.any(ln.sigma_d2) and ("d", "v_d", links, (), _scaling(ln.sigma_d2)),
             op.c_cross and np.any(ln.r_u_link) and (
                 "u_link", "v_u", links, vec, _colouring(psd_factor(ln.r_u_link))),
@@ -384,34 +380,25 @@ class _Sampler:
         self.gens = [{stream: [policy.stream(run, stream, k) for k in range(len(slots) - 1)]
                       for stream, _, slots, _, _ in self.sources} for run in runs]
         self.buffers = {}
-        self.block = np.empty(0, dtype=complex)  # one owner's draws, every run
 
     def _buffer(self, key: str, t: int, tail: tuple) -> np.ndarray:
-        """The first ``t`` iterations of the (runs, t) + ``tail`` buffer for ``key``; zeroed
-        when made, as the sums of receivers without in-links are never written."""
+        """The first ``t`` iterations of the (runs, t) + ``tail`` buffer for ``key``."""
         buf = self.buffers.get(key)
         if buf is None or buf.shape[1] < t:
-            buf = self.buffers[key] = np.zeros((len(self.gens), t) + tail, dtype=complex)
+            buf = self.buffers[key] = np.empty((len(self.gens), t) + tail, dtype=complex)
         return buf[:, :t]
 
     def _draw(self, t: int, stream: str, key: str, slots: list, tail: tuple, fix) -> np.ndarray:
         """One source's draws for the next ``t`` iterations, mapped by ``fix``."""
-        runs, summed = len(self.gens), isinstance(fix, list)
-        z = self._buffer(key, t, (len(slots) - 1 if summed else slots[-1],) + tail)
-        if summed and self.block.size < (size := runs * t * max(map(len, fix))):
-            self.block = np.empty(size, dtype=complex)
+        z = self._buffer(key, t, (slots[-1],) + tail)
         for k, (lo, hi) in enumerate(zip(slots, slots[1:])):
             if hi == lo:
                 continue
-            if summed:
-                part = self.block[:runs * t * len(fix[k])].reshape((runs, t, hi - lo) + tail)
-            else:  # one slot is indexed, as crandn fills a strided view faster without a unit axis
-                part = z[:, :, lo] if hi - lo == 1 else z[:, :, lo:hi]
+            # one slot is indexed, as crandn fills a strided view faster without a unit axis
+            part = z[:, :, lo] if hi - lo == 1 else z[:, :, lo:hi]
             for g, row in zip(self.gens, part):
                 crandn(g[stream][k], out=row)
-            if summed:
-                np.matmul(part.reshape(runs, t, -1), fix[k], out=z[:, :, k])
-        return z if summed else fix(z)
+        return fix(z)
 
     def window(self, t: int) -> dict:
         """Draw all noise for the next ``t`` iterations of this chunk."""
@@ -507,24 +494,30 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
             raise ValueError(f"{name} must be at least 1")
     mode = _resolve_mode(network, options.mode)
     op = StepOperator(network, matrices)
-    n, m = op.n, op.m
-
+    # every run's curves, made before the first chunk so that a runs too large to hold fails at once
+    msd_all, emse_all = np.empty((runs, iterations)), np.empty((runs, iterations))
+    bad = np.empty(runs, dtype=bool)
     starts = range(0, runs, options.chunk_size)
 
     def job(lo):
-        chunk = list(range(lo, min(lo + options.chunk_size, runs)))
-        return _simulate_chunk(network, op, mode, options, rng_policy, chunk, iterations)
+        """The chunk of runs from ``lo``; its curves are copied into their rows as it returns."""
+        hi = min(lo + options.chunk_size, runs)
+        result = _simulate_chunk(network, op, mode, options, rng_policy, list(range(lo, hi)),
+                                 iterations)
+        msd_all[lo:hi], emse_all[lo:hi], bad[lo:hi] = (result.pop("msd"), result.pop("emse"),
+                                                       result["bad"])
+        return result
 
     if options.threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            return _reduce(list(pool.map(job, starts)), runs, iterations, n, m, options)
-    return _reduce([job(lo) for lo in starts], runs, iterations, n, m, options)
+            results = list(pool.map(job, starts))
+    else:
+        results = [job(lo) for lo in starts]
+    return _reduce(msd_all, emse_all, bad, results, iterations, op.n, op.m, options)
 
 
-def _reduce(results, runs, iterations, n, m, options) -> LearningCurve:
-    msd_all = np.concatenate([r["msd"] for r in results])
-    emse_all = np.concatenate([r["emse"] for r in results])
-    bad = np.concatenate([r["bad"] for r in results])
+def _reduce(msd_all, emse_all, bad, results, iterations, n, m, options) -> LearningCurve:
+    runs = len(bad)
     valid = ~bad
     n_valid = int(valid.sum())
     if n_valid == 0:

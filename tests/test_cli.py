@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import resource
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffnet
 from diffnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, PRESETS, main
 from diffnet.combine import uniform
 from diffnet.network import (
@@ -242,6 +247,26 @@ class TestSimulate:
                              rules={"a1": "identity", "c": "identity", "a2": "uniform"})
         assert main(command + ["--config", str(cfg)]) == EXIT_CONFIG
         assert "runs = 3 and iterations = 1000000000000" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_runs_that_cannot_be_held_exit_before_the_first_chunk(self, threads, tmp_path):
+        """The (runs, iterations) curves, 71 PiB here, are refused before any chunk runs."""
+        main(["gen-scenario", "--preset", "noisy_exchange_atc", "--out", str(tmp_path)])
+        src = str(Path(diffnet.__file__).resolve().parents[1])
+        env = dict(os.environ, DIFFNET_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def cap_memory():  # a run that does start chunks must not take the machine's memory
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+        out = subprocess.run(
+            [sys.executable, "-m", "diffnet.cli", "simulate", "--config",
+             str(tmp_path / "scenario.json"), "--runs", str(10 ** 15), "--iters", "10"],
+            capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap_memory)
+        assert out.returncode == EXIT_CONFIG
+        assert (f"runs = {10 ** 15} and iterations = 10 need more memory than is available"
+                in out.stderr)
         assert not (tmp_path / "curve.csv").exists()
 
 

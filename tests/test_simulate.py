@@ -223,9 +223,8 @@ class TestSamplerMemory:
         assert n_links > 4 * n
         assert draws[key].shape == (self.RUNS, WINDOW, n, m)
         assert all(n_links not in buf.shape[2:] for buf in sampler.buffers.values())
-        max_in = int(np.max(np.diff(net.topology.link_table().starts)))
-        held = sum(buf.nbytes for buf in sampler.buffers.values()) + sampler.block.nbytes
-        assert held < self.RUNS * WINDOW * (3 * n * m + max_in * m) * 16
+        held = sum(buf.nbytes for buf in sampler.buffers.values())
+        assert held < self.RUNS * WINDOW * 3 * n * m * 16
 
     def test_adaptive_rule_keeps_per_link_noise(self):
         net, _, draws = self.window("atc", adaptive=True)
@@ -233,16 +232,24 @@ class TestSamplerMemory:
 
 
 class TestReceiverSums:
-    def test_sums_are_the_weighted_per_link_draws(self):
-        """The static A2's receiver sums against the adaptive rule's per-link draws of the
-        same streams, weighted and summed afterwards."""
+    ITERS = 20000
+
+    @pytest.mark.parametrize("layout, key", [("cta", "v_w"), ("atc", "v_psi")])
+    def test_sums_have_the_summed_covariance(self, layout, key):
+        """Each receiver's static link-noise sum sum_l a_lk v_lk has covariance
+        sum_l |a_lk|^2 R_lk, with general per-link covariances."""
         net = general_link_noise(noisy_pair_network(n=6))
-        mats = CombinationMatrices(a1=np.eye(6), c=np.eye(6), a2=uniform(net.topology))
-        sampler, static = window_draws(net, mats, 40)
-        _, per_link = window_draws(net, mats, 40, adaptive=True)
-        op = sampler.op
-        want = op.links.segment_sum(op.a2_link[:, None] * per_link["v_psi"], axis=-2)
-        assert np.allclose(static["v_psi"], want, rtol=0, atol=1e-15)
+        a, eye = uniform(net.topology), np.eye(6)
+        mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
+                "cta": CombinationMatrices(a1=a, c=eye, a2=eye)}[layout]
+        sampler, draws = window_draws(net, mats, self.ITERS, seed=6)
+        op, ln = sampler.op, net.link_noise
+        a_link, r = (op.a1_link, ln.r_w) if key == "v_w" else (op.a2_link, ln.r_psi)
+        target = op.links.segment_sum(np.abs(a_link[:, None, None]) ** 2 * r, axis=0)
+        for k in range(net.n_nodes):
+            z = draws[key][0, :, k]
+            emp = np.einsum("ia,ib->ab", z.conj(), z) / self.ITERS
+            assert np.linalg.norm(emp - target[k]) / np.linalg.norm(target[k]) < 0.05, k
 
 
 def by_factor(z, factors):
@@ -280,18 +287,20 @@ class TestSamplerStreams:
                                                     (t, starts[k + 1] - starts[k]) + tail)
                                    for k in range(n)], axis=1)
 
-        def receiver_sums(a_link, v):
-            return np.stack([np.sum(a_link[lo:hi, None] * v[:, lo:hi], axis=1)
-                             for lo, hi in zip(starts[:-1], starts[1:])], axis=1)
+        def receiver_sum(source, a_link, r):
+            """Each receiver's own M normals, coloured by sum_l |a_lk|^2 R_lk."""
+            cov = np.stack([np.einsum("p,pab->ab", np.abs(a_link[lo:hi]) ** 2, r[lo:hi])
+                            for lo, hi in zip(starts[:-1], starts[1:])])
+            return by_factor(nodes(source, (m,)), psd_factor(cov))
 
-        v_psi = by_factor(links("psi", (m,)), psd_factor(ln.r_psi))
         return {
             "u": by_factor(nodes("u", (m,)), psd_factor(net.nodes.r_u)),
             "v": nodes("v", ()) * np.sqrt(net.nodes.sigma_v2),
             "eta": by_factor(crandn_two_draws(stream("eta", 0), (t, 1, m)),
                              psd_factor(net.weights.r_eta[None]))[:, 0],
-            "v_w": receiver_sums(op.a1_link, by_factor(links("w", (m,)), psd_factor(ln.r_w))),
-            "v_psi": v_psi if adaptive else receiver_sums(op.a2_link, v_psi),
+            "v_w": receiver_sum("w", op.a1_link, ln.r_w),
+            "v_psi": (by_factor(links("psi", (m,)), psd_factor(ln.r_psi)) if adaptive
+                      else receiver_sum("psi", op.a2_link, ln.r_psi)),
             "v_d": links("d", ()) * np.sqrt(ln.sigma_d2),
             "v_u": by_factor(links("u_link", (m,)), psd_factor(ln.r_u_link)),
         }
