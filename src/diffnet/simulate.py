@@ -7,21 +7,22 @@ neighbors' intermediate estimates received over noisy links. Self links are
 perfect; the four exchange-noise sources (estimates, intermediate estimates,
 measurements, regressors) act only on cross links.
 
-Reproducibility contract: every (run, node, noise-source) triple owns an
-independent RNG stream derived from the master seed, link noise being owned
-by the receiving node. Curves are bit-identical for a fixed master seed
-whatever the thread count, ``chunk_size`` or the length ``BLOCK`` of the
-iteration blocks over which the curves are reduced; runs are reduced in
-run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
+Reproducibility contract: every (run, noise source) pair owns an independent
+RNG stream derived from the master seed. Curves are bit-identical for a fixed
+master seed whatever the thread count, ``chunk_size`` or the length ``BLOCK``
+of the iteration blocks over which the curves are reduced; runs are reduced
+in run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
 per stream.
 
 The sampler draws every noise source through one table: regressors and
-measurement noise per node, the four link sources per receiver, and the
-random walk's increments. A static combine uses its link noise only through
-each receiver's weighted sum sum_l a_lk v_lk, one circular Gaussian of
-covariance sum_l |a_lk|^2 R_lk, so each receiver draws it from M normals and
-a static rule's window holds O(runs WINDOW N M) noise; the adaptive rule and
-data sharing read each link's noise.
+measurement noise per node, the four link sources per receiver or per link,
+and the random walk's increments. In each window, a run's stream for a source
+fills that source's whole (iterations, slots) block with one draw. A static
+combine uses its link noise only through each receiver's weighted sum
+sum_l a_lk v_lk, one circular Gaussian of covariance sum_l |a_lk|^2 R_lk, so
+it is drawn as M normals per receiver and a static rule's window holds
+O(runs WINDOW N M) noise; the adaptive rule and data sharing read each link's
+noise.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -33,7 +34,6 @@ receiver's in-links, so a step costs O(L M) for L links.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,19 +67,22 @@ DIVERGENCE_THRESHOLD = 1e12  # squared node error above which a run counts as di
 class RngPolicy:
     """Deterministic stream derivation from a single master seed.
 
-    Stream (run, source, owner) is seeded by
-    SeedSequence(master_seed, spawn_key=(run, source_id, owner)); sources are
-    "u" and "v" (owner = node), "eta" (the target's random-walk increments,
-    owner 0), and the link sources "w", "psi", "d", "u_link" (owner = the
-    receiving node: one draw per in-link in canonical link order, or, for a
-    static combine's "w" and "psi", one draw of the in-links' weighted sum).
+    Stream (run, source) is seeded by
+    SeedSequence(master_seed, spawn_key=(run, source_id, 0)); the trailing 0,
+    the first owner's index when streams were per node, keeps a one-slot
+    source (a one-node network's noise, the random-walk increments) on its
+    earlier realization.
+    Sources are "u" and "v" (one slot per node), "eta" (the target's
+    random-walk increments, one slot) and the link sources "w", "psi", "d",
+    "u_link" (one slot per link in canonical link order or, for a static
+    combine's "w" and "psi", one slot per receiver for its in-links' weighted
+    sum).
     """
 
     master_seed: int
 
-    def stream(self, run: int, source: str, owner: int = 0) -> np.random.Generator:
-        sid = _SOURCE_IDS[source]
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=(run, sid, owner))
+    def stream(self, run: int, source: str) -> np.random.Generator:
+        ss = np.random.SeedSequence(self.master_seed, spawn_key=(run, _SOURCE_IDS[source], 0))
         return np.random.default_rng(ss)
 
 
@@ -338,11 +341,11 @@ class _Sampler:
     """Window-sized noise draws for a chunk of runs, from one table of sources.
 
     A source (stream, key, slots, tail, fix) is in the table when the network
-    and combine give it noise to carry. In every run, owner k's stream fills
-    slots slots[k]:slots[k + 1] of the (runs, t, slots[-1]) + tail buffer for
-    ``key``, and ``fix`` colours or scales the filled buffer in place. A node
-    source owns one slot per node, the random walk one slot, and a per-link
-    source its receiver's in-links (``LinkTable.starts``). A static combine
+    and combine give it noise to carry. In every window, each run's stream
+    for the source fills that run's whole (t, slots) + tail row of the
+    buffer for ``key`` with one draw, and ``fix`` colours or scales the
+    filled buffer in place. A node source has one slot per node, the random
+    walk one slot, and a per-link source one slot per link. A static combine
     uses its link noise only through each receiver's sum sum_l a_lk v_lk, a
     circular Gaussian of covariance sum_l |a_lk|^2 R_lk, so that source is a
     node source coloured by the sum's factor; only the adaptive ``v_psi`` and
@@ -355,7 +358,7 @@ class _Sampler:
                  policy: RngPolicy, runs: list[int], adaptive: bool):
         self.op = op
         ln, vec = network.link_noise, (op.m,)
-        nodes, links = list(range(op.n + 1)), op.links.starts.tolist()
+        nodes, links = op.n, len(op.src)
 
         def summed(a_link, r):
             """The colouring of each receiver's sum_l a_lk v_lk, v_lk of covariance r[l]."""
@@ -366,7 +369,7 @@ class _Sampler:
             ("u", "u", nodes, vec, _colouring(psd_factor(network.nodes.r_u))),
             ("v", "v", nodes, (), _scaling(network.nodes.sigma_v2)),
             mode == "random_walk" and (
-                "eta", "eta", [0, 1], vec, _increments(network.weights.r_eta)),
+                "eta", "eta", 1, vec, _increments(network.weights.r_eta)),
             np.any(op.a1_link) and np.any(ln.r_w) and (
                 "w", "v_w", nodes, vec, summed(op.a1_link, ln.r_w)),
             (adaptive or np.any(op.a2_link)) and np.any(ln.r_psi) and (
@@ -377,27 +380,18 @@ class _Sampler:
                 "u_link", "v_u", links, vec, _colouring(psd_factor(ln.r_u_link))),
         )
         self.sources = [source for source in table if source]
-        self.gens = [{stream: [policy.stream(run, stream, k) for k in range(len(slots) - 1)]
-                      for stream, _, slots, _, _ in self.sources} for run in runs]
+        self.gens = [{stream: policy.stream(run, stream) for stream, *_ in self.sources}
+                     for run in runs]
         self.buffers = {}
 
-    def _buffer(self, key: str, t: int, tail: tuple) -> np.ndarray:
-        """The first ``t`` iterations of the (runs, t) + ``tail`` buffer for ``key``."""
+    def _draw(self, t: int, stream: str, key: str, slots: int, tail: tuple, fix) -> np.ndarray:
+        """One source's draws for the next ``t`` iterations, one per run, mapped by ``fix``."""
         buf = self.buffers.get(key)
         if buf is None or buf.shape[1] < t:
-            buf = self.buffers[key] = np.empty((len(self.gens), t) + tail, dtype=complex)
-        return buf[:, :t]
-
-    def _draw(self, t: int, stream: str, key: str, slots: list, tail: tuple, fix) -> np.ndarray:
-        """One source's draws for the next ``t`` iterations, mapped by ``fix``."""
-        z = self._buffer(key, t, (slots[-1],) + tail)
-        for k, (lo, hi) in enumerate(zip(slots, slots[1:])):
-            if hi == lo:
-                continue
-            # one slot is indexed, as crandn fills a strided view faster without a unit axis
-            part = z[:, :, lo] if hi - lo == 1 else z[:, :, lo:hi]
-            for g, row in zip(self.gens, part):
-                crandn(g[stream][k], out=row)
+            buf = self.buffers[key] = np.empty((len(self.gens), t, slots) + tail, dtype=complex)
+        z = buf[:, :t]
+        for g, row in zip(self.gens, z):
+            crandn(g[stream], out=row)
         return fix(z)
 
     def window(self, t: int) -> dict:
@@ -509,6 +503,8 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
         return result
 
     if options.threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so a cold import skips it
+
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
             results = list(pool.map(job, starts))
     else:

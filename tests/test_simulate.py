@@ -60,20 +60,20 @@ def single_node(m=2, sigma_v2=0.0, mu=0.3, w0=None):
 class TestRngPolicy:
     def test_same_key_reproduces(self):
         pol = RngPolicy(123)
-        a = pol.stream(0, "u", 3).standard_normal(5)
-        b = pol.stream(0, "u", 3).standard_normal(5)
+        a = pol.stream(3, "u").standard_normal(5)
+        b = pol.stream(3, "u").standard_normal(5)
         assert np.array_equal(a, b)
 
     def test_distinct_keys_differ(self):
         pol = RngPolicy(123)
-        base = pol.stream(0, "u", 0).standard_normal(5)
-        for run, source, owner in [(1, "u", 0), (0, "v", 0), (0, "u", 1)]:
-            other = pol.stream(run, source, owner).standard_normal(5)
+        base = pol.stream(0, "u").standard_normal(5)
+        for run, source in [(1, "u"), (0, "v")]:
+            other = pol.stream(run, source).standard_normal(5)
             assert not np.array_equal(base, other)
 
     def test_master_seed_matters(self):
-        a = RngPolicy(1).stream(0, "u", 0).standard_normal(5)
-        b = RngPolicy(2).stream(0, "u", 0).standard_normal(5)
+        a = RngPolicy(1).stream(0, "u").standard_normal(5)
+        b = RngPolicy(2).stream(0, "u").standard_normal(5)
         assert not np.array_equal(a, b)
 
 
@@ -252,13 +252,36 @@ class TestReceiverSums:
             assert np.linalg.norm(emp - target[k]) / np.linalg.norm(target[k]) < 0.05, k
 
 
+class TestSlotIndependence:
+    ITERS = 20000
+
+    @pytest.mark.parametrize("key", ["u", "v_w"])
+    def test_slots_drawn_from_one_stream_are_independent(self, key):
+        """Every slot of a source is drawn from the run's one stream for it: each
+        slot has its own covariance, and two distinct slots are uncorrelated."""
+        net = general_link_noise(noisy_pair_network(n=6))
+        a, eye = uniform(net.topology), np.eye(6)
+        sampler, draws = window_draws(net, CombinationMatrices(a1=a, c=eye, a2=eye), self.ITERS,
+                                      seed=5)
+        op = sampler.op
+        target = (net.nodes.r_u if key == "u" else op.links.segment_sum(
+            np.abs(op.a1_link[:, None, None]) ** 2 * net.link_noise.r_w, axis=0))
+        z = draws[key][0]
+        emp = np.einsum("ipa,iqb->pqab", z.conj(), z) / self.ITERS
+        norms = np.linalg.norm(emp, axis=(2, 3))
+        for p in range(net.n_nodes):
+            assert np.linalg.norm(emp[p, p] - target[p]) / np.linalg.norm(target[p]) < 0.05, p
+            for q in range(p):
+                assert norms[p, q] < 0.05 * np.sqrt(norms[p, p] * norms[q, q]), (p, q)
+
+
 def by_factor(z, factors):
     """Row p of z's last two axes coloured by its own factor: sum_m z[..., p, m] conj(F_p[q, m])."""
     return np.einsum("...pm,pqm->...pq", z, factors.conj())
 
 
 class TestSamplerStreams:
-    """Every window() key against direct draws from its own (run, source, owner) streams,
+    """Every window() key against direct draws from its own (run, source) stream,
     coloured, scaled and summed here, over two windows of a chunk of two runs."""
 
     RUNS = [3, 5]
@@ -274,18 +297,15 @@ class TestSamplerStreams:
 
     @staticmethod
     def direct(net, op, adaptive, stream, t):
-        """One run's window, drawn stream by stream with ``stream(source, owner)``."""
+        """One run's window, drawn stream by stream with ``stream(source)``."""
         n, m, starts = net.n_nodes, net.m_dim, op.links.starts
         ln = net.link_noise
 
         def nodes(source, tail):
-            return np.stack([crandn_two_draws(stream(source, k), (t,) + tail)
-                             for k in range(n)], axis=1)
+            return crandn_two_draws(stream(source), (t, n) + tail)
 
         def links(source, tail):
-            return np.concatenate([crandn_two_draws(stream(source, k),
-                                                    (t, starts[k + 1] - starts[k]) + tail)
-                                   for k in range(n)], axis=1)
+            return crandn_two_draws(stream(source), (t, len(net.links)) + tail)
 
         def receiver_sum(source, a_link, r):
             """Each receiver's own M normals, coloured by sum_l |a_lk|^2 R_lk."""
@@ -296,7 +316,7 @@ class TestSamplerStreams:
         return {
             "u": by_factor(nodes("u", (m,)), psd_factor(net.nodes.r_u)),
             "v": nodes("v", ()) * np.sqrt(net.nodes.sigma_v2),
-            "eta": by_factor(crandn_two_draws(stream("eta", 0), (t, 1, m)),
+            "eta": by_factor(crandn_two_draws(stream("eta"), (t, 1, m)),
                              psd_factor(net.weights.r_eta[None]))[:, 0],
             "v_w": receiver_sum("w", op.a1_link, ln.r_w),
             "v_psi": (by_factor(links("psi", (m,)), psd_factor(ln.r_psi)) if adaptive
@@ -311,10 +331,10 @@ class TestSamplerStreams:
         policy, streams = RngPolicy(11), {}
 
         def stream(run):
-            def get(source, owner):
-                if (run, source, owner) not in streams:
-                    streams[run, source, owner] = policy.stream(run, source, owner)
-                return streams[run, source, owner]
+            def get(source):
+                if (run, source) not in streams:
+                    streams[run, source] = policy.stream(run, source)
+                return streams[run, source]
             return get
 
         for t in (7, 5):  # the second window continues every stream
@@ -915,8 +935,8 @@ def test_chunking_and_threads_do_not_change_any_output(case):
 
 @pytest.mark.parametrize("layout", ["atc", "cta", "sharing", "adaptive"])
 def test_general_link_noise_is_chunk_and_thread_invariant(layout):
-    """Each link's own non-isotropic colouring, folded into the receiver gains, keeps
-    every output byte-identical across chunk sizes and threads."""
+    """Each link's own non-isotropic colouring, in the receiver sums' factors or on each
+    link's draws, keeps every output byte-identical across chunk sizes and threads."""
     net = general_link_noise(random_network(7, 5, 2, 0.6, NOISY_RANGES), seed=1)
     a, eye = uniform(net.topology), np.eye(5)
     mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
