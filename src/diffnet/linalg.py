@@ -18,12 +18,23 @@ __all__ = [
 ]
 
 
+_PIECE = 1 << 17  # the most normals crandn draws at once, so its temporary stays at 1 MiB
+
+
 def crandn(gen: np.random.Generator, shape=(), *, out: np.ndarray | None = None) -> np.ndarray:
-    """Draw circular complex standard normals (E|x|^2 = 1), into ``out`` (any view) if given."""
+    """Draw circular complex standard normals (E|x|^2 = 1), into ``out`` (any view) if given.
+
+    All real parts, then all imaginary parts, in C order; more than ``_PIECE``
+    are drawn in pieces of the stream, which give the same numbers as one draw.
+    """
     out = np.empty(shape, dtype=complex) if out is None else out
-    re, im = gen.standard_normal((2,) + out.shape)  # all real parts, then all imaginary parts
-    np.multiply(re, 1.0 / np.sqrt(2.0), out=out.real)
-    np.multiply(im, 1.0 / np.sqrt(2.0), out=out.imag)
+    flat = out.reshape(-1) if out.flags.c_contiguous else np.empty(out.size, dtype=complex)
+    parts, n = flat.view(float).reshape(-1, 2).T, flat.size  # real parts, imaginary parts
+    for piece in ([parts] if 2 * n <= _PIECE else
+                  [part[lo:lo + _PIECE] for part in parts for lo in range(0, n, _PIECE)]):
+        np.multiply(gen.standard_normal(piece.shape), 1.0 / np.sqrt(2.0), out=piece)
+    if flat.base is None:  # out is not contiguous, so the draws went to a copy
+        out[...] = flat.reshape(out.shape)
     return out
 
 

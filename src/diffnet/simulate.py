@@ -14,21 +14,17 @@ of the iteration blocks over which the curves are reduced; runs are reduced
 in run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
 per stream.
 
-The sampler draws every noise source through one table: regressors and
-measurement noise per node, the four link sources per receiver or per link,
-and the random walk's increments. In each window, a run's stream for a source
-fills that source's whole (iterations, slots) block with one draw. A static
-combine uses its link noise only through each receiver's weighted sum
-sum_l a_lk v_lk, one circular Gaussian of covariance sum_l |a_lk|^2 R_lk, so
-it is drawn as M normals per receiver and a static rule's window holds
-O(runs WINDOW N M) noise; the adaptive rule and data sharing read each link's
-noise.
+The sampler (``_Sampler``) draws every noise source through one table, one
+draw per (run, source) and window. A static combine's link noise is drawn as
+each receiver's weighted sum, so a static rule's window holds O(runs WINDOW N M)
+noise; the adaptive rule and data sharing read each link's noise.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
-vectorizes across runs by calling it on stacked states. Each exchange is a
-gather over the directed links, a per-link scale and a segment sum over each
-receiver's in-links, so a step costs O(L M) for L links.
+vectorizes across runs by calling it on stacked states. A static combine is
+one real matrix product by A^T over the node axis, O(N^2 M) per run; the
+adaptive rule and data sharing gather over the L directed links, scale per
+link and sum over each receiver's in-links, O(L M).
 """
 
 from __future__ import annotations
@@ -150,11 +146,8 @@ class DiffusionState:
             nu = np.broadcast_to(np.asarray(adaptive_nu, dtype=float), (n_nodes,)).copy()
             if not np.all((0 < nu) & (nu < 1)):
                 raise ValueError(f"engine forgetting factor nu must lie in (0, 1), got {adaptive_nu}")
-            adaptive = AdaptiveArrays(
-                nu=nu,
-                gamma2_self=np.ones(batch + (n_nodes,)),
-                gamma2_link=np.ones(batch + (n_links,)),
-            )
+            adaptive = AdaptiveArrays(nu=nu, gamma2_self=np.ones(batch + (n_nodes,)),
+                                      gamma2_link=np.ones(batch + (n_links,)))
         return cls(w=w, adaptive=adaptive)
 
 
@@ -163,10 +156,13 @@ class DiffusionState:
 
 
 class StepOperator:
-    """Per-link weights for one network/matrices pair, built once per simulation.
+    """The weights of one network/matrices pair, built once per simulation.
 
-    ``a*_self`` is the diagonal of A1 or A2; ``a*_link`` and ``c_link`` (mu_k c_lk)
-    are the entries on the directed cross links, in canonical link order.
+    ``a1_t`` and ``a2_t`` are A1^T and A2^T as contiguous real arrays, so a
+    static combine is one real matrix product over the node axis. ``a*_link``
+    and ``c_link`` (mu_k c_lk) are the entries on the directed cross links, in
+    canonical link order: the sampler sizes the static combines' noise sums
+    from ``a*_link``, and data sharing weighs each link's pair by ``c_link``.
     """
 
     def __init__(self, network: NetworkModel, matrices: CombinationMatrices):
@@ -174,31 +170,27 @@ class StepOperator:
         self.n, self.m = network.n_nodes, network.m_dim
         self.src, self.dst = links.src, links.dst
         mu = network.nodes.mu
-        self.a1_identity, self.a2_identity = (np.array_equal(a, np.eye(self.n))
-                                              for a in (matrices.a1, matrices.a2))
-        # complex, as numpy would cast them on every product with the complex state
-        a1, a2 = matrices.a1 + 0j, matrices.a2 + 0j
-        self.a1_self, self.a2_self = np.diag(a1), np.diag(a2)
+        a1, a2 = matrices.a1, matrices.a2
+        self.a1_identity, self.a2_identity = (np.array_equal(a, np.eye(self.n)) for a in (a1, a2))
+        self.a1_t, self.a2_t = (np.ascontiguousarray(a.T, dtype=float) for a in (a1, a2))
         self.a1_link, self.a2_link = a1[self.src, self.dst], a2[self.src, self.dst]
         self.c_link = mu[self.dst] * matrices.c[self.src, self.dst] + 0j
         self.c_cross = bool(np.any(self.c_link))
-        self.mu_c_diag = (mu * np.diag(matrices.c))[:, None] + 0j
+        self.mu_c_diag = mu * np.diag(matrices.c)
 
     def received(self, x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
         """What each link delivers: the sender's row of ``x`` plus the link noise."""
         sent = np.take(x, self.src, axis=-2)
         return sent if noise is None else sent + noise
 
-    def combine(self, a_self, a_link, x, noise, received=None) -> np.ndarray:
-        """a_self x_k plus the a_link-weighted sum over node k's in-links, plus ``noise``.
 
-        ``received`` is what each link delivers, by default the sender's row
-        of ``x``; ``noise`` holds the receivers' noise sums, None for zero.
-        """
-        if received is None:
-            received = np.take(x, self.src, axis=-2)
-        out = a_self[..., None] * x + self.links.segment_sum(a_link[..., None] * received, axis=-2)
-        return out if noise is None else out + noise
+def _static_combine(a_t: np.ndarray, x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """A^T x over the node axis, on x's real view, plus the receivers' noise sums (None for
+    zero); numpy makes one dgemm call per run, so a run's bits do not depend on the batch."""
+    out = np.matmul(a_t, np.ascontiguousarray(x).view(float)).view(complex)
+    if noise is not None:
+        out += noise
+    return out
 
 
 def diffusion_step(state: DiffusionState, operator: StepOperator,
@@ -206,23 +198,25 @@ def diffusion_step(state: DiffusionState, operator: StepOperator,
     """Advance the three-step recursion by one iteration.
 
     Runs combine (received estimates), adapt (received data pairs), combine
-    (received intermediate estimates). When ``state.adaptive`` is set the
-    second combine uses online inverse-variance weights updated from the
-    received intermediate estimates; otherwise the static matrices apply.
-    Each exchange gathers over the links, scales per link and sums over each
-    receiver's in-links; a static combine then adds the receivers' noise sums
-    from ``data``. Returns the new w, phi, psi and adaptive state.
+    (received intermediate estimates). A static combine is the product A^T x
+    plus the receivers' noise sums from ``data``, O(N^2 M) per run. When
+    ``state.adaptive`` is set the second combine uses online inverse-variance
+    weights updated from the received intermediate estimates; it and data
+    sharing gather over the links, scale per link and sum over each
+    receiver's in-links, O(L M). Returns the new w, phi, psi and adaptive
+    state.
     """
     op = operator
     w = state.w
     u = data.u
 
-    phi = w if op.a1_identity else op.combine(op.a1_self, op.a1_link, w, data.v_w)
+    phi = w if op.a1_identity else _static_combine(op.a1_t, w, data.v_w)
 
-    d = np.einsum("...km,...m->...k", u, data.w_true) + data.v
-    e_self = d - np.einsum("...km,...km->...k", u, phi)
-    psi = phi + op.mu_c_diag * u.conj() * e_self[..., None]
+    e_self = data.v + np.einsum("...km,...km->...k", u, data.w_true[..., None, :] - phi)
+    psi = np.multiply(u.conj(), (op.mu_c_diag * e_self)[..., None])
+    psi += phi
     if op.c_cross:
+        d = np.einsum("...km,...m->...k", u, data.w_true) + data.v
         u_pair = op.received(u, data.v_u)
         d_pair = np.take(d, op.src, axis=-1)
         if data.v_d is not None:
@@ -238,18 +232,18 @@ def diffusion_step(state: DiffusionState, operator: StepOperator,
         n_link = np.sum(np.abs(psi_recv - np.take(w, op.dst, axis=-2)) ** 2, axis=-1)
         g2s = (1.0 - ad.nu) * ad.gamma2_self + ad.nu * n_self
         g2l = (1.0 - ad.nu[op.dst]) * ad.gamma2_link + ad.nu[op.dst] * n_link
-        inv_s = 1.0 / g2s
-        inv_l = 1.0 / g2l
+        inv_s, inv_l = 1.0 / g2s, 1.0 / g2l
         den = inv_s + op.links.segment_sum(inv_l)
-        # complex, as the products in combine would cast them
+        # complex, as the products below would cast them
         a_self = (inv_s / den).astype(complex)
         a_link = (inv_l / np.take(den, op.dst, axis=-1)).astype(complex)
-        w_new = op.combine(a_self, a_link, psi, None, received=psi_recv)
+        w_new = a_self[..., None] * psi + op.links.segment_sum(a_link[..., None] * psi_recv,
+                                                               axis=-2)
         new_ad = AdaptiveArrays(nu=ad.nu, gamma2_self=g2s, gamma2_link=g2l,
                                 a_self=a_self, a_link=a_link)
         return DiffusionState(w=w_new, phi=phi, psi=psi, adaptive=new_ad)
 
-    w_new = psi if op.a2_identity else op.combine(op.a2_self, op.a2_link, psi, data.v_psi)
+    w_new = psi if op.a2_identity else _static_combine(op.a2_t, psi, data.v_psi)
     return DiffusionState(w=w_new, phi=phi, psi=psi, adaptive=None)
 
 
@@ -411,20 +405,25 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
     if mode == "rotation":
         phase = np.exp(1j * network.weights.omega)
 
-    msd = np.empty((r, iterations))
-    emse = np.empty((r, iterations))
+    msd, emse = np.empty((r, iterations)), np.empty((r, iterations))
     bad = np.zeros(r, dtype=bool)
-    err_traj = (np.empty((r, iterations, n, m), dtype=complex)
-                if options.record_mean_error else None)
-    wbar = np.empty((r, iterations, m), dtype=complex) if options.record_trajectory else None
-    wtrue_traj = (np.empty((r, iterations, m), dtype=complex)
-                  if options.record_trajectory else None)
+    err_traj = np.empty((r, iterations, n, m), complex) if options.record_mean_error else None
+    wbar, wtrue_traj = ((np.empty((r, iterations, m), complex) for _ in range(2))
+                        if options.record_trajectory else (None, None))
 
     # w_seen[:, 0] holds the estimates entering a block, w_seen[:, j + 1] those
     # after its step j, and true_seen[:, j] the target of step j
     w_seen = np.empty((r, BLOCK + 1, n, m), dtype=complex)
     w_seen[:, 0] = state.w
     true_seen = np.empty((r, BLOCK, m), dtype=complex)
+    gap_block = np.empty((r, BLOCK, n, m), dtype=complex)
+
+    def gap(b, w):
+        """The block's first ``b`` targets minus ``w``, one coordinate at a time: subtracting
+        the broadcast targets at once runs numpy's innermost loop over M alone."""
+        for c in range(m):
+            np.subtract(true_seen[:, :b, None, c], w[..., c], out=gap_block[:, :b, :, c])
+        return gap_block[:, :b]
 
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -447,12 +446,14 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
                 # the block's metrics, each reduced over the same axes as one
                 # iteration's would be, so the curves do not depend on BLOCK
                 b, lo, hi = j + 1, done + t - j, done + t + 1
-                target = true_seen[:, :b, None, :]
                 u = draws["u"][:, t - j:t + 1]
                 emse[:, lo:hi] = np.mean(
-                    np.abs(np.einsum("rtkm,rtkm->rtk", u, target - w_seen[:, :b])) ** 2, axis=2)
-                err = target - w_seen[:, 1:b + 1]
-                err2 = np.sum(np.abs(err) ** 2, axis=-1)
+                    np.abs(np.einsum("rtkm,rtkm->rtk", u, gap(b, w_seen[:, :b]))) ** 2, axis=2)
+                err = gap(b, w_seen[:, 1:b + 1])
+                # adding the squared moduli in order is what a sum over the last axis does
+                err2 = np.abs(err[..., 0]) ** 2
+                for c in range(1, m):
+                    err2 += np.abs(err[..., c]) ** 2
                 msd[:, lo:hi] = np.mean(err2, axis=2)
                 node_max = np.max(err2, axis=2)
                 bad |= np.any(~np.isfinite(node_max) | (node_max > DIVERGENCE_THRESHOLD), axis=1)
@@ -520,8 +521,7 @@ def _reduce(msd_all, emse_all, bad, results, iterations, n, m, options) -> Learn
         nanrow = np.full(iterations, np.nan)
         return LearningCurve(msd=nanrow, emse=nanrow.copy(), runs=runs,
                              divergent_runs=runs)
-    msd = msd_all[valid].mean(axis=0)
-    emse = emse_all[valid].mean(axis=0)
+    msd, emse = msd_all[valid].mean(axis=0), emse_all[valid].mean(axis=0)
 
     def valid_rows(key):
         """The non-divergent runs' recordings in run order; a sum over axis 0
@@ -599,20 +599,9 @@ def trajectory_to_csv(curve: LearningCurve, path) -> None:
     if curve.avg_estimate is None:
         raise ValueError("curve was recorded without trajectories")
     m = curve.avg_estimate.shape[1]
-    header = ["iter"]
-    for j in range(1, m + 1):
-        header += [f"est_re_{j}", f"est_im_{j}"]
-    for j in range(1, m + 1):
-        header += [f"true_re_{j}", f"true_im_{j}"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(curve.iterations):
-            row = [i]
-            for j in range(m):
-                row += [repr(float(curve.avg_estimate[i, j].real)),
-                        repr(float(curve.avg_estimate[i, j].imag))]
-            for j in range(m):
-                row += [repr(float(curve.avg_target[i, j].real)),
-                        repr(float(curve.avg_target[i, j].imag))]
-            writer.writerow(row)
+        writer.writerow(["iter"] + [f"{kind}_{part}_{j}" for kind in ("est", "true")
+                                    for j in range(1, m + 1) for part in ("re", "im")])
+        for i, row in enumerate(np.concatenate([curve.avg_estimate, curve.avg_target], axis=1)):
+            writer.writerow([i] + [repr(float(part)) for z in row for part in (z.real, z.imag)])

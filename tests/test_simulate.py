@@ -617,6 +617,68 @@ class TestNodesWithoutLinks:
             assert np.allclose(state.adaptive.gamma2_link, mirror.gamma2_link, atol=1e-12)
 
 
+def link_path_combine(op, a, x, noise_sums):
+    """A static combine the way the adaptive rule runs its own: a_kk x_k plus a gather over
+    the in-links, a per-link scale and a segment sum, plus the receivers' noise sums."""
+    sent = np.take(x, op.src, axis=-2)
+    return (np.diag(a)[:, None] * x + noise_sums
+            + op.links.segment_sum(a[op.src, op.dst][:, None] * sent, axis=-2))
+
+
+def dense_combine_case(layout, m, seed, runs=3):
+    """A random network in which one random node has no links, random left-stochastic
+    weights on its pattern for the static combine of ``layout``, a batched state and one
+    step's draws with every link noise set, summed per receiver as the engine takes them."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(4, 9))
+    others = np.delete(np.arange(n), gen.integers(n))
+    edges = [(int(k), int(l)) for i, k in enumerate(others) for l in others[i + 1:]
+             if gen.random() < 0.5]
+    net = network_on(Topology.from_edges(n, edges), m=m, seed=seed)
+    a = np.where(net.topology.adjacency, gen.uniform(0.1, 1.0, (n, n)), 0.0)
+    a /= a.sum(axis=0)
+    eye = np.eye(n)
+    mats = (CombinationMatrices(a1=eye, c=eye, a2=a) if layout == "atc"
+            else CombinationMatrices(a1=a, c=eye, a2=eye))
+
+    def cx(*shape):
+        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+    n_links = len(net.links)
+    op = StepOperator(net, mats)
+    data = receiver_sums(op, StepData(u=cx(runs, n, m), v=cx(runs, n), w_true=cx(runs, m),
+                                      v_w=cx(runs, n_links, m), v_psi=cx(runs, n_links, m)))
+    return op, mats, cx(runs, n, m), data
+
+
+class TestDenseCombine:
+    """The static combine, one real product by A^T, against the per-link path."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["atc", "cta"])
+    def test_matches_the_link_path(self, layout, m, seed):
+        op, mats, w, data = dense_combine_case(layout, m, seed)
+        out = diffusion_step(DiffusionState(w=w), op, data)
+        if layout == "atc":
+            got, want = out.w, link_path_combine(op, mats.a2, out.psi, data.v_psi)
+        else:
+            got, want = out.phi, link_path_combine(op, mats.a1, w, data.v_w)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("layout", ["atc", "cta"])
+    def test_a_non_contiguous_state_steps_like_its_contiguous_copy(self, layout):
+        op, _, w, data = dense_combine_case(layout, 2, seed=5)
+        want = diffusion_step(DiffusionState(w=w), op, data)
+        wide = np.zeros(w.shape[:-1] + (2 * w.shape[-1],), dtype=complex)
+        wide[..., ::2] = w
+        for layout_copy in (np.asfortranarray(w), wide[..., ::2]):
+            assert not layout_copy.flags.c_contiguous
+            got = diffusion_step(DiffusionState(w=layout_copy), op, data)
+            for name in ("phi", "psi", "w"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def colour_oracle(z, factors):
     """The colouring as the engine used to write it, one einsum."""
     return np.einsum("rtpm,pqm->rtpq", z, factors.conj())
