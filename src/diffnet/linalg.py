@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "crandn",
     "psd_factor",
-    "kron_lift",
     "db10",
     "hermitize",
     "spectral_radius",
@@ -48,11 +47,6 @@ def psd_factor(r: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(hermitize(r))
     w = np.clip(w, 0.0, None)
     return u * np.sqrt(w)[..., None, :]
-
-
-def kron_lift(a: np.ndarray, m: int) -> np.ndarray:
-    """Kronecker lift a -> a kron I_m acting on stacked m-blocks."""
-    return np.kron(np.asarray(a), np.eye(m))
 
 
 def db10(x) -> np.ndarray:

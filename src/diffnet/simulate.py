@@ -15,9 +15,10 @@ in run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
 per stream.
 
 The sampler (``_Sampler``) draws every noise source through one table, one
-draw per (run, source) and window. A static combine's link noise is drawn as
-each receiver's weighted sum, so a static rule's window holds O(runs WINDOW N M)
-noise; the adaptive rule and data sharing read each link's noise.
+draw per (run, source) and window, coloured by the source's covariance factors.
+A static combine's link noise is drawn as each receiver's weighted sum, so a
+static rule's window holds O(runs WINDOW N M) noise; the adaptive rule and data
+sharing read each link's noise.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -302,12 +303,12 @@ def _colouring(factors: np.ndarray):
     """The map taking row p of z's last two axes to sum_m z[..., p, m] conj(F[p, q, m]).
 
     It overwrites z and returns it. When every factor F[p] is a scaled
-    identity s_p I, checked once here, it scales row p by conj(s_p);
-    otherwise it is a batched matmul.
+    identity s_p I, checked once here, it scales row p by conj(s_p), repeated
+    along the row so one inner loop runs over both axes; else a batched matmul.
     """
     scale = factors[:, 0, 0]
     if np.array_equal(factors, scale[:, None, None] * np.eye(factors.shape[-1])):
-        scale = scale.conj()[:, None]
+        scale = np.repeat(scale.conj()[:, None], factors.shape[-1], axis=1)
         return lambda z: np.multiply(z, scale, out=z)
     rows = factors.conj().swapaxes(-1, -2)
 
@@ -318,34 +319,21 @@ def _colouring(factors: np.ndarray):
     return colour
 
 
-def _scaling(variances: np.ndarray):
-    """The map scaling slot p of z by sqrt(variances[p]); it overwrites z and returns it."""
-    sig = np.sqrt(variances)
-    return lambda z: np.multiply(z, sig, out=z)
-
-
-def _increments(r_eta: np.ndarray):
-    """The map colouring the random walk's one-slot draws by r_eta's factor in place;
-    it returns them as (runs, t, M) increments."""
-    rows = psd_factor(r_eta).conj()
-    return lambda z: np.einsum("rtm,pm->rtp", z[:, :, 0].copy(), rows, out=z[:, :, 0])
-
-
 class _Sampler:
     """Window-sized noise draws for a chunk of runs, from one table of sources.
 
-    A source (stream, key, slots, tail, fix) is in the table when the network
-    and combine give it noise to carry. In every window, each run's stream
-    for the source fills that run's whole (t, slots) + tail row of the
-    buffer for ``key`` with one draw, and ``fix`` colours or scales the
-    filled buffer in place. A node source has one slot per node, the random
-    walk one slot, and a per-link source one slot per link. A static combine
-    uses its link noise only through each receiver's sum sum_l a_lk v_lk, a
-    circular Gaussian of covariance sum_l |a_lk|^2 R_lk, so that source is a
-    node source coloured by the sum's factor; only the adaptive ``v_psi`` and
-    data sharing's ``v_d`` and ``v_u`` are per link. Buffers are sized by the
-    first window and refilled in place, so a chunk holds one window of noise
-    however many windows it runs.
+    A source (stream, key, slots, tail, cov) is in the table when the network
+    and combine give it noise to carry; cov holds each slot's covariance (1x1
+    for a scalar source). In every window, each run's stream for the source
+    fills that run's whole (t, slots) + tail row of the buffer for ``key``
+    with one draw, coloured in place by each slot's covariance factor. A node
+    source has one slot per node, the random walk one slot, and a per-link
+    source one slot per link. A static combine uses its link noise only
+    through each receiver's sum sum_l a_lk v_lk, a circular Gaussian of
+    covariance sum_l |a_lk|^2 R_lk, so that source is a node source of that
+    covariance; only the adaptive ``v_psi`` and data sharing's ``v_d`` and
+    ``v_u`` are per link. Buffers are sized by the first window and refilled
+    in place, so a chunk holds one window of noise however many windows it runs.
     """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
@@ -355,38 +343,38 @@ class _Sampler:
         nodes, links = op.n, len(op.src)
 
         def summed(a_link, r):
-            """The colouring of each receiver's sum_l a_lk v_lk, v_lk of covariance r[l]."""
-            return _colouring(psd_factor(op.links.segment_sum(
-                np.abs(a_link[:, None, None]) ** 2 * r, axis=0)))
+            """The covariance of each receiver's sum_l a_lk v_lk, v_lk of covariance r[l]."""
+            return op.links.segment_sum(np.abs(a_link[:, None, None]) ** 2 * r, axis=0)
 
         table = (
-            ("u", "u", nodes, vec, _colouring(psd_factor(network.nodes.r_u))),
-            ("v", "v", nodes, (), _scaling(network.nodes.sigma_v2)),
-            mode == "random_walk" and (
-                "eta", "eta", 1, vec, _increments(network.weights.r_eta)),
+            ("u", "u", nodes, vec, network.nodes.r_u),
+            ("v", "v", nodes, (), network.nodes.sigma_v2[:, None, None]),
+            mode == "random_walk" and ("eta", "eta", 1, vec, network.weights.r_eta[None]),
             np.any(op.a1_link) and np.any(ln.r_w) and (
                 "w", "v_w", nodes, vec, summed(op.a1_link, ln.r_w)),
             (adaptive or np.any(op.a2_link)) and np.any(ln.r_psi) and (
-                ("psi", "v_psi", links, vec, _colouring(psd_factor(ln.r_psi))) if adaptive
+                ("psi", "v_psi", links, vec, ln.r_psi) if adaptive
                 else ("psi", "v_psi", nodes, vec, summed(op.a2_link, ln.r_psi))),
-            op.c_cross and np.any(ln.sigma_d2) and ("d", "v_d", links, (), _scaling(ln.sigma_d2)),
-            op.c_cross and np.any(ln.r_u_link) and (
-                "u_link", "v_u", links, vec, _colouring(psd_factor(ln.r_u_link))),
+            op.c_cross and np.any(ln.sigma_d2) and (
+                "d", "v_d", links, (), ln.sigma_d2[:, None, None]),
+            op.c_cross and np.any(ln.r_u_link) and ("u_link", "v_u", links, vec, ln.r_u_link),
         )
-        self.sources = [source for source in table if source]
+        self.sources = [(stream, key, slots, tail, _colouring(psd_factor(cov)))
+                        for stream, key, slots, tail, cov in filter(None, table)]
         self.gens = [{stream: policy.stream(run, stream) for stream, *_ in self.sources}
                      for run in runs]
         self.buffers = {}
 
-    def _draw(self, t: int, stream: str, key: str, slots: int, tail: tuple, fix) -> np.ndarray:
-        """One source's draws for the next ``t`` iterations, one per run, mapped by ``fix``."""
+    def _draw(self, t: int, stream: str, key: str, slots: int, tail: tuple, colour) -> np.ndarray:
+        """One source's draws for the next ``t`` iterations, one per run, coloured in place."""
         buf = self.buffers.get(key)
         if buf is None or buf.shape[1] < t:
             buf = self.buffers[key] = np.empty((len(self.gens), t, slots) + tail, dtype=complex)
         z = buf[:, :t]
         for g, row in zip(self.gens, z):
             crandn(g[stream], out=row)
-        return fix(z)
+        colour(z if tail else z[..., None])
+        return z
 
     def window(self, t: int) -> dict:
         """Draw all noise for the next ``t`` iterations of this chunk."""
@@ -432,7 +420,7 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
             draws = sampler.window(t_win)
             for t in range(t_win):
                 if mode == "random_walk":
-                    w_true = w_true + draws["eta"][:, t]
+                    w_true = w_true + draws["eta"][:, t, 0]
                 elif mode == "rotation":
                     w_true = w_true * phase
                 data = StepData(w_true=w_true, **{key: x[:, t] for key, x in draws.items()

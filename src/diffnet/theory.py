@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitize, kron_lift, spectral_radius
+from .linalg import hermitize, spectral_radius
 from .network import CombinationMatrices, NetworkModel
 
 __all__ = [
@@ -110,9 +110,7 @@ def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
     z_blocks = links.segment_sum(-coeff[:, None] * (r_u_link @ w_o), axis=0)
 
     big_m = np.kron(np.diag(network.nodes.mu), np.eye(m))
-    a1_lift = kron_lift(matrices.a1, m)
-    a2_lift = kron_lift(matrices.a2, m)
-    c_lift = kron_lift(c, m)
+    a1_lift, a2_lift, c_lift = (np.kron(a, np.eye(m)) for a in (matrices.a1, matrices.a2, c))
     b = a2_lift.T @ (np.eye(n * m) - big_m @ _block_diag(r_prime)) @ a1_lift.T
     return MeanDynamics(n_nodes=n, m_dim=m, w_o=w_o, r_prime=r_prime, b=b,
                         z=z_blocks.reshape(-1), big_m=big_m,
@@ -171,13 +169,11 @@ def step_size_bounds(network: NetworkModel, matrices: CombinationMatrices,
 
     # largest eigenvalue over each neighborhood, self included, never below 0
     lam_own = np.maximum(_lambda_max(r_u), 0.0)
-    lam_clean = lam_own.copy()
-    np.maximum.at(lam_clean, links.dst, lam_own[links.src])
-    lam_noisy = lam_own.copy()
-    np.maximum.at(lam_noisy, links.dst, _lambda_max(r_u[links.src] + network.link_noise.r_u_link))
+    lam_noisy = np.diag(lam_own)  # [l, k]: what node k sees of node l
+    lam_noisy[links.src, links.dst] = _lambda_max(r_u[links.src] + network.link_noise.r_u_link)
     tight = _safe_bound(_lambda_max(md.r_prime))
-    robust = _safe_bound(lam_noisy)
-    noise_free = _safe_bound(lam_clean)
+    robust = _safe_bound(lam_noisy.max(axis=0))
+    noise_free = _safe_bound(np.max(network.topology.adjacency * lam_own[:, None], axis=0))
 
     c = matrices.c
     doubly = (

@@ -330,7 +330,7 @@ def simulate_chunk(network, op, mode, options, policy, runs, iterations):
             for t in range(t_win):
                 i = done + t
                 if mode == "random_walk":
-                    w_true = w_true + draws["eta"][:, t]
+                    w_true = w_true + draws["eta"][:, t, 0]
                 elif mode == "rotation":
                     w_true = w_true * phase
                 u_t = draws["u"][:, t]

@@ -29,7 +29,7 @@ from diffnet.simulate import (
     steady_state_level,
     trajectory_to_csv,
 )
-from diffnet.linalg import psd_factor
+from diffnet.linalg import crandn, psd_factor
 from diffnet.simulate import (BLOCK, WINDOW, _colouring, _resolve_mode, _Sampler,
                               _simulate_chunk)
 from reference import (AdaptiveWeightState, adaptive_update, crandn_two_draws, neighbors,
@@ -178,28 +178,21 @@ class TestPerturbExchange:
         assert np.all(np.abs(var - target) / target < 0.05)
 
     def test_vector_payload_noise_covariance(self):
-        """A static A2 gets sum_l a_lk v_lk per receiver, of covariance
-        sum_l |a_lk|^2 R_psi,l; the adaptive rule gets each link's v_lk. Both with
-        isotropic and with general per-link covariances."""
+        """The adaptive rule gets each link's v_lk, of covariance R_psi,l, with isotropic
+        and with general per-link covariances."""
         for general in (False, True):
             net = noisy_pair_network()
             if general:
                 general_link_noise(net)
             mats = CombinationMatrices(a1=np.eye(4), c=np.eye(4), a2=uniform(net.topology))
-            for adaptive in (False, True):
-                sampler, draws = window_draws(net, mats, 40000, adaptive=adaptive, seed=4)
-                noise = draws["v_psi"][0]
-                emp = np.einsum("ipa,ipb->pab", noise.conj(), noise) / 40000
-                target = net.link_noise.r_psi
-                if not adaptive:
-                    op = sampler.op
-                    target = op.links.segment_sum(
-                        np.abs(op.a2_link[:, None, None]) ** 2 * target, axis=0)
-                assert noise.shape[1] == len(target) == (len(net.links) if adaptive
-                                                         else net.n_nodes)
-                err = (np.linalg.norm(emp - target, axis=(1, 2))
-                       / np.linalg.norm(target, axis=(1, 2)))
-                assert np.all(err < 0.05), (general, adaptive)
+            _, draws = window_draws(net, mats, 40000, adaptive=True, seed=4)
+            noise = draws["v_psi"][0]
+            emp = np.einsum("ipa,ipb->pab", noise.conj(), noise) / 40000
+            target = net.link_noise.r_psi
+            assert noise.shape[1] == len(target) == len(net.links)
+            err = (np.linalg.norm(emp - target, axis=(1, 2))
+                   / np.linalg.norm(target, axis=(1, 2)))
+            assert np.all(err < 0.05), general
 
 
 class TestSamplerMemory:
@@ -234,11 +227,16 @@ class TestSamplerMemory:
 class TestReceiverSums:
     ITERS = 20000
 
-    @pytest.mark.parametrize("layout, key", [("cta", "v_w"), ("atc", "v_psi")])
-    def test_sums_have_the_summed_covariance(self, layout, key):
+    @pytest.mark.parametrize("layout, key, isotropic", [
+        ("cta", "v_w", False), ("atc", "v_psi", False), ("cta", "v_w", True),
+        ("atc", "v_psi", True)], ids=["cta-v_w", "atc-v_psi", "cta-v_w-isotropic",
+                                      "atc-v_psi-isotropic"])
+    def test_sums_have_the_summed_covariance(self, layout, key, isotropic):
         """Each receiver's static link-noise sum sum_l a_lk v_lk has covariance
-        sum_l |a_lk|^2 R_lk, with general per-link covariances."""
-        net = general_link_noise(noisy_pair_network(n=6))
+        sum_l |a_lk|^2 R_lk, with isotropic and with general per-link covariances."""
+        net = noisy_pair_network(n=6)
+        if not isotropic:
+            general_link_noise(net)
         a, eye = uniform(net.topology), np.eye(6)
         mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
                 "cta": CombinationMatrices(a1=a, c=eye, a2=eye)}[layout]
@@ -282,7 +280,7 @@ def by_factor(z, factors):
 
 class TestSamplerStreams:
     """Every window() key against direct draws from its own (run, source) stream,
-    coloured, scaled and summed here, over two windows of a chunk of two runs."""
+    coloured and summed here, over two windows of a chunk of two runs."""
 
     RUNS = [3, 5]
 
@@ -317,7 +315,7 @@ class TestSamplerStreams:
             "u": by_factor(nodes("u", (m,)), psd_factor(net.nodes.r_u)),
             "v": nodes("v", ()) * np.sqrt(net.nodes.sigma_v2),
             "eta": by_factor(crandn_two_draws(stream("eta"), (t, 1, m)),
-                             psd_factor(net.weights.r_eta[None]))[:, 0],
+                             psd_factor(net.weights.r_eta[None])),
             "v_w": receiver_sum("w", op.a1_link, ln.r_w),
             "v_psi": (by_factor(links("psi", (m,)), psd_factor(ln.r_psi)) if adaptive
                       else receiver_sum("psi", op.a2_link, ln.r_psi)),
@@ -346,6 +344,46 @@ class TestSamplerStreams:
                     assert got[key][i].shape == x.shape, key
                     err = np.max(np.abs(got[key][i] - x))
                     assert err <= 1e-15 * max(1.0, np.max(np.abs(x))), (key, err)
+
+
+class TestOneColouring:
+    """Scalar and one-slot sources go through the same colouring as the rest."""
+
+    RUNS = [2, 4]
+
+    def test_scalar_and_isotropic_one_slot_sources_keep_their_bits(self):
+        """``v``, ``v_d`` and an isotropic ``eta`` equal, byte for byte, the scaling
+        by sqrt(variance) and the einsum increments they were drawn with before."""
+        net = noisy_pair_network(n=5)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=2e-3 * np.eye(2, dtype=complex))
+        a = uniform(net.topology)
+        op = StepOperator(net, CombinationMatrices(a1=np.eye(5), c=a.T, a2=np.eye(5)))
+        got = _Sampler(net, op, "random_walk", RngPolicy(3), self.RUNS, False).window(9)
+        rows = psd_factor(net.weights.r_eta).conj()
+        for i, run in enumerate(self.RUNS):
+            def draw(source, shape):
+                return crandn(RngPolicy(3).stream(run, source), shape)
+
+            want = {
+                "v": np.multiply(draw("v", (9, 5)), np.sqrt(net.nodes.sigma_v2)),
+                "v_d": np.multiply(draw("d", (9, len(net.links))),
+                                   np.sqrt(net.link_noise.sigma_d2)),
+                "eta": np.einsum("tm,pm->tp", draw("eta", (9, 1, 2))[:, 0], rows)[:, None],
+            }
+            for key, x in want.items():
+                assert got[key][i].tobytes() == x.tobytes(), key
+
+    def test_one_node_windows_keep_their_shapes(self):
+        """A one-node network's ``u`` and ``v`` have one slot, like the random walk's
+        ``eta``, and keep the layout of every other network's."""
+        net = single_node(sigma_v2=0.1)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=1e-3 * np.eye(2, dtype=complex))
+        op = StepOperator(net, CombinationMatrices.identity(1))
+        draws = _Sampler(net, op, "random_walk", RngPolicy(0), self.RUNS, False).window(6)
+        assert {key: x.shape for key, x in draws.items()} == {
+            "u": (2, 6, 1, 2), "v": (2, 6, 1), "eta": (2, 6, 1, 2)}
 
 
 def reference_step(net, mats, w_prev, data):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffnet.combine import metropolis, uniform
-from diffnet.linalg import kron_lift, spectral_radius
+from diffnet.linalg import spectral_radius
 from diffnet.network import (
     CombinationMatrices,
     LinkNoiseProfile,
@@ -394,12 +394,12 @@ class TestBlockMaxNorm:
     def test_combine_lift_has_unit_norm(self):
         net, _ = noisy_instance(0, n=6)
         a = uniform(net.topology)
-        lift = kron_lift(a.T, 2)
+        lift = np.kron(a.T, np.eye(2))
         assert block_max_norm(lift, 2) == 1.0
 
     def test_unit_norm_is_attained_and_never_exceeded(self):
         net, _ = noisy_instance(1, n=6)
-        lift = kron_lift(uniform(net.topology).T, 2)
+        lift = np.kron(uniform(net.topology).T, np.eye(2))
         gen = np.random.default_rng(8)
         for _ in range(20):
             x = gen.standard_normal((6, 2)) + 1j * gen.standard_normal((6, 2))
@@ -423,7 +423,7 @@ class TestBlockMaxNorm:
 
     def test_fallback_estimate_brackets_scaled_lift(self):
         net, _ = noisy_instance(2, n=5)
-        lift = 2.0 * kron_lift(uniform(net.topology).T, 2)
+        lift = 2.0 * np.kron(uniform(net.topology).T, np.eye(2))
         est = block_max_norm(lift, 2)
         assert est <= 2.0 + 1e-9
         assert est >= 1.9
