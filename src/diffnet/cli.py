@@ -66,6 +66,7 @@ SCENARIO_KEYS = ("name", "network", "rules", "runs", "iterations", "seed", "nu",
 RULE_SLOTS = ("a1", "c", "a2")
 OUTPUT_DEFAULTS = {"curve": "curve.csv", "trajectory": None, "report": "report.json",
                 "compare": "compare.csv"}
+_RUN_FIELDS = (("runs", "runs", 1), ("iters", "iterations", 1), ("seed", "seed", 0))
 
 
 @dataclass
@@ -132,9 +133,8 @@ def load_scenario(path) -> ScenarioConfig:
             name=str(data.get("name", path.stem)),
             network=network,
             rules={slot: rules.get(slot, "identity") for slot in RULE_SLOTS},
-            runs=_whole(data.get("runs", 50), "runs", least=1),
-            iterations=_whole(data.get("iterations", 3000), "iterations", least=1),
-            seed=_whole(data.get("seed", 0), "seed", least=0),
+            **{name: _whole(data.get(name, getattr(ScenarioConfig, name)), name, least=least)
+               for _, name, least in _RUN_FIELDS},
             nu=nu,
             mode=data.get("mode"),
             outputs=dict(outputs),
@@ -295,7 +295,7 @@ def cmd_gen_scenario(args) -> int:
 
 
 def _apply_overrides(scenario: ScenarioConfig, args) -> None:
-    for flag, name, least in (("runs", "runs", 1), ("iters", "iterations", 1), ("seed", "seed", 0)):
+    for flag, name, least in _RUN_FIELDS:
         value = getattr(args, flag, None)
         if value is not None:
             if value < least:

@@ -17,23 +17,18 @@ __all__ = [
 ]
 
 
-_PIECE = 1 << 17  # the most normals crandn draws at once, so its temporary stays at 1 MiB
-
-
 def crandn(gen: np.random.Generator, shape=(), *, out: np.ndarray | None = None) -> np.ndarray:
-    """Draw circular complex standard normals (E|x|^2 = 1), into ``out`` (any view) if given.
+    """Draw circular complex standard normals (E|x|^2 = 1), into a C-contiguous ``out`` if given.
 
-    All real parts, then all imaginary parts, in C order; more than ``_PIECE``
-    are drawn in pieces of the stream, which give the same numbers as one draw.
+    Each entry takes its real part, then its imaginary part, from the stream, in C order,
+    so two draws in a row give the same numbers as one draw of their concatenation.
     """
     out = np.empty(shape, dtype=complex) if out is None else out
-    flat = out.reshape(-1) if out.flags.c_contiguous else np.empty(out.size, dtype=complex)
-    parts, n = flat.view(float).reshape(-1, 2).T, flat.size  # real parts, imaginary parts
-    for piece in ([parts] if 2 * n <= _PIECE else
-                  [part[lo:lo + _PIECE] for part in parts for lo in range(0, n, _PIECE)]):
-        np.multiply(gen.standard_normal(piece.shape), 1.0 / np.sqrt(2.0), out=piece)
-    if flat.base is None:  # out is not contiguous, so the draws went to a copy
-        out[...] = flat.reshape(out.shape)
+    if not out.flags.c_contiguous:
+        raise ValueError("crandn fills only a C-contiguous out")
+    parts = out.reshape(-1).view(float)
+    gen.standard_normal(out=parts)
+    parts *= 1.0 / np.sqrt(2.0)
     return out
 
 

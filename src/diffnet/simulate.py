@@ -9,16 +9,18 @@ measurements, regressors) act only on cross links.
 
 Reproducibility contract: every (run, noise source) pair owns an independent
 RNG stream derived from the master seed. Curves are bit-identical for a fixed
-master seed whatever the thread count, ``chunk_size`` or the length ``BLOCK``
-of the iteration blocks over which the curves are reduced; runs are reduced
-in run-index order. Noise is drawn in fixed windows of ``WINDOW`` iterations
-per stream.
+master seed whatever the thread count, ``chunk_size``, the length of the
+noise windows or the length ``BLOCK`` of the iteration blocks over which the
+curves are reduced; runs are reduced in run-index order. Each complex normal
+takes its real part, then its imaginary part, from its stream, so a window's
+draws continue the stream exactly as one longer draw would, and a window is as
+long as the chunk's noise buffers fit in ``WINDOW_BYTES``.
 
 The sampler (``_Sampler``) draws every noise source through one table, one
 draw per (run, source) and window, coloured by the source's covariance factors.
 A static combine's link noise is drawn as each receiver's weighted sum, so a
-static rule's window holds O(runs WINDOW N M) noise; the adaptive rule and data
-sharing read each link's noise.
+static rule draws O(runs N M) noise per iteration; the adaptive rule and data
+sharing read each link's noise. Either way a chunk holds O(WINDOW_BYTES) of it.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -31,6 +33,7 @@ link and sum over each receiver's in-links, O(L M).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +58,7 @@ __all__ = [
 
 _SOURCE_IDS = {"u": 0, "v": 1, "eta": 2, "w": 3, "psi": 4, "d": 5, "u_link": 6}
 
-WINDOW = 256  # iterations of noise drawn per batch; part of the realization
+WINDOW_BYTES = 1 << 20  # a chunk's noise buffers per window; output-neutral
 BLOCK = 8  # iterations per curve reduction, output-neutral; kept under the 128 KiB mmap threshold
 DIVERGENCE_THRESHOLD = 1e12  # squared node error above which a run counts as divergent
 
@@ -65,10 +68,7 @@ class RngPolicy:
     """Deterministic stream derivation from a single master seed.
 
     Stream (run, source) is seeded by
-    SeedSequence(master_seed, spawn_key=(run, source_id, 0)); the trailing 0,
-    the first owner's index when streams were per node, keeps a one-slot
-    source (a one-node network's noise, the random-walk increments) on its
-    earlier realization.
+    SeedSequence(master_seed, spawn_key=(run, source_id)).
     Sources are "u" and "v" (one slot per node), "eta" (the target's
     random-walk increments, one slot) and the link sources "w", "psi", "d",
     "u_link" (one slot per link in canonical link order or, for a static
@@ -79,7 +79,7 @@ class RngPolicy:
     master_seed: int
 
     def stream(self, run: int, source: str) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=(run, _SOURCE_IDS[source], 0))
+        ss = np.random.SeedSequence(self.master_seed, spawn_key=(run, _SOURCE_IDS[source]))
         return np.random.default_rng(ss)
 
 
@@ -332,8 +332,10 @@ class _Sampler:
     through each receiver's sum sum_l a_lk v_lk, a circular Gaussian of
     covariance sum_l |a_lk|^2 R_lk, so that source is a node source of that
     covariance; only the adaptive ``v_psi`` and data sharing's ``v_d`` and
-    ``v_u`` are per link. Buffers are sized by the first window and refilled
-    in place, so a chunk holds one window of noise however many windows it runs.
+    ``v_u`` are per link. ``length`` is the window: the most iterations, in
+    whole blocks of ``BLOCK`` and at least one, whose buffers fit in
+    ``WINDOW_BYTES``. Buffers are sized by the first window and refilled in
+    place, so a chunk holds one window of noise however many windows it runs.
     """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
@@ -363,6 +365,8 @@ class _Sampler:
                         for stream, key, slots, tail, cov in filter(None, table)]
         self.gens = [{stream: policy.stream(run, stream) for stream, *_ in self.sources}
                      for run in runs]
+        step = 16 * len(runs) * sum(slots * math.prod(tail) for _, _, slots, tail, _ in self.sources)
+        self.length = max(1, WINDOW_BYTES // step // BLOCK) * BLOCK
         self.buffers = {}
 
     def _draw(self, t: int, stream: str, key: str, slots: int, tail: tuple, colour) -> np.ndarray:
@@ -416,7 +420,7 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < iterations:
-            t_win = min(WINDOW, iterations - done)
+            t_win = min(sampler.length, iterations - done)
             draws = sampler.window(t_win)
             for t in range(t_win):
                 if mode == "random_walk":

@@ -8,9 +8,9 @@ checked against, and ``noise_numerator`` is the three-term assembly of the
 Stein numerator W that ``diffnet.theory.assemble_noise_moments`` is checked
 against. ``simulate_chunk`` is the engine's chunk loop with its learning-curve
 metrics computed one iteration at a time, the oracle for the block-wise
-reduction in ``diffnet.simulate._simulate_chunk``; ``crandn_two_draws`` is
-the complex sampler as two separate real draws and a complex division. The
-block maximum norm, the series EMSE and a topology's ``neighbors`` and
+reduction in ``diffnet.simulate._simulate_chunk``, over windows of its own
+length; ``crandn_pairs`` is the complex sampler as one real draw of each
+entry's [re, im] pair and a complex division. The block maximum norm, the series EMSE and a topology's ``neighbors`` and
 ``degree`` are helpers that only the tests use.
 """
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from diffnet.network import CombinationMatrices, NetworkModel, Topology
-from diffnet.simulate import (DIVERGENCE_THRESHOLD, WINDOW, DiffusionState, StepData,
-                              _Sampler, diffusion_step)
+from diffnet.simulate import (DIVERGENCE_THRESHOLD, DiffusionState, StepData, _Sampler,
+                              diffusion_step)
 from diffnet.theory import MeanDynamics, _block_diag, series_msd
 
 
@@ -294,10 +294,12 @@ def _power_ascent(blocks: np.ndarray, iters: int = 80, restarts: int = 4) -> flo
     return best
 
 
-def crandn_two_draws(gen: np.random.Generator, shape) -> np.ndarray:
-    re = gen.standard_normal(shape)
-    im = gen.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+def crandn_pairs(gen: np.random.Generator, shape) -> np.ndarray:
+    pairs = gen.standard_normal(tuple(shape) + (2,))
+    return (pairs[..., 0] + 1j * pairs[..., 1]) / np.sqrt(2.0)
+
+
+WINDOW = 256  # simulate_chunk's own window length, not the engine's
 
 
 def simulate_chunk(network, op, mode, options, policy, runs, iterations):

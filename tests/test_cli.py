@@ -26,7 +26,7 @@ from diffnet.network import (
     save_network,
     validate,
 )
-from reference import crandn_two_draws
+from reference import crandn_pairs
 
 NOISY_RANGES = VarianceRanges(
     sigma_u2=(0.5, 2.0),
@@ -80,10 +80,10 @@ class TestGenScenario:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_output_matches_two_draw_sampler(self, preset, tmp_path, monkeypatch):
-        """random_network draws through crandn; one draw per call leaves the files unchanged."""
+        """random_network draws through crandn; the [re, im] pair oracle writes the same files."""
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["gen-scenario", "--preset", preset, "--seed", "1", "--out", str(a)]) == EXIT_OK
-        monkeypatch.setattr("diffnet.network.crandn", crandn_two_draws)
+        monkeypatch.setattr("diffnet.network.crandn", crandn_pairs)
         assert main(["gen-scenario", "--preset", preset, "--seed", "1", "--out", str(b)]) == EXIT_OK
         for name in ("network.json", "scenario.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()

@@ -30,9 +30,9 @@ from diffnet.simulate import (
     trajectory_to_csv,
 )
 from diffnet.linalg import crandn, psd_factor
-from diffnet.simulate import (BLOCK, WINDOW, _colouring, _resolve_mode, _Sampler,
+from diffnet.simulate import (BLOCK, WINDOW_BYTES, _colouring, _resolve_mode, _Sampler,
                               _simulate_chunk)
-from reference import (AdaptiveWeightState, adaptive_update, crandn_two_draws, neighbors,
+from reference import (AdaptiveWeightState, adaptive_update, crandn_pairs, neighbors,
                        simulate_chunk)
 
 NOISY_RANGES = VarianceRanges(
@@ -196,7 +196,8 @@ class TestPerturbExchange:
 
 
 class TestSamplerMemory:
-    """A static rule's window holds receiver sums, O(runs t N M); no buffer has a link axis."""
+    """A static rule's window holds receiver sums, O(runs t N M); no buffer has a link axis.
+    Every window's buffers fit in ``WINDOW_BYTES``, in whole blocks of ``BLOCK`` iterations."""
 
     RUNS = 3
 
@@ -207,21 +208,37 @@ class TestSamplerMemory:
                 "cta": CombinationMatrices(a1=a, c=eye, a2=eye)}[layout]
         sampler = _Sampler(net, StepOperator(net, mats), "constant", RngPolicy(0),
                            list(range(self.RUNS)), adaptive)
-        return net, sampler, sampler.window(WINDOW)
+        return net, sampler, sampler.window(sampler.length)
+
+    @staticmethod
+    def held(sampler):
+        return sum(buf.nbytes for buf in sampler.buffers.values())
 
     @pytest.mark.parametrize("layout, key", [("atc", "v_psi"), ("cta", "v_w")])
     def test_static_rules_hold_receiver_sums(self, layout, key):
         net, sampler, draws = self.window(layout)
-        n, m, n_links = net.n_nodes, net.m_dim, len(net.links)
+        n, m, n_links, t = net.n_nodes, net.m_dim, len(net.links), sampler.length
         assert n_links > 4 * n
-        assert draws[key].shape == (self.RUNS, WINDOW, n, m)
+        assert t % BLOCK == 0
+        assert draws[key].shape == (self.RUNS, t, n, m)
         assert all(n_links not in buf.shape[2:] for buf in sampler.buffers.values())
-        held = sum(buf.nbytes for buf in sampler.buffers.values())
-        assert held < self.RUNS * WINDOW * 3 * n * m * 16
+        assert self.held(sampler) == self.RUNS * t * n * (2 * m + 1) * 16  # u, v and the sums
+        # the budget is filled to within one block of iterations
+        assert self.held(sampler) <= WINDOW_BYTES < self.held(sampler) * (t + BLOCK) / t
 
     def test_adaptive_rule_keeps_per_link_noise(self):
-        net, _, draws = self.window("atc", adaptive=True)
-        assert draws["v_psi"].shape == (self.RUNS, WINDOW, len(net.links), net.m_dim)
+        net, sampler, draws = self.window("atc", adaptive=True)
+        t = sampler.length
+        assert draws["v_psi"].shape == (self.RUNS, t, len(net.links), net.m_dim)
+        # the per-link window is cut to the budget, where 256 iterations would exceed it
+        assert t % BLOCK == 0 and t < 256
+        assert self.held(sampler) <= WINDOW_BYTES < self.held(sampler) * 256 / t
+
+    def test_a_window_is_at_least_one_block(self, monkeypatch):
+        monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", 1)
+        _, sampler, draws = self.window("atc", adaptive=True)
+        assert sampler.length == BLOCK
+        assert draws["v_psi"].shape[1] == BLOCK
 
 
 class TestReceiverSums:
@@ -300,10 +317,10 @@ class TestSamplerStreams:
         ln = net.link_noise
 
         def nodes(source, tail):
-            return crandn_two_draws(stream(source), (t, n) + tail)
+            return crandn_pairs(stream(source), (t, n) + tail)
 
         def links(source, tail):
-            return crandn_two_draws(stream(source), (t, len(net.links)) + tail)
+            return crandn_pairs(stream(source), (t, len(net.links)) + tail)
 
         def receiver_sum(source, a_link, r):
             """Each receiver's own M normals, coloured by sum_l |a_lk|^2 R_lk."""
@@ -314,7 +331,7 @@ class TestSamplerStreams:
         return {
             "u": by_factor(nodes("u", (m,)), psd_factor(net.nodes.r_u)),
             "v": nodes("v", ()) * np.sqrt(net.nodes.sigma_v2),
-            "eta": by_factor(crandn_two_draws(stream("eta"), (t, 1, m)),
+            "eta": by_factor(crandn_pairs(stream("eta"), (t, 1, m)),
                              psd_factor(net.weights.r_eta[None])),
             "v_w": receiver_sum("w", op.a1_link, ln.r_w),
             "v_psi": (by_factor(links("psi", (m,)), psd_factor(ln.r_psi)) if adaptive
@@ -967,7 +984,7 @@ class TestBlockMetrics:
         net = single_node(m=2, sigma_v2=0.01, mu=1.0)
         options = SimulationOptions(record_mean_error=True, record_trajectory=True)
         want = assert_chunks_equal(net, CombinationMatrices.identity(1), options, 300,
-                                   runs=range(4), seed=3)
+                                   runs=range(4), seed=49)
         # runs 2 and 3 cross the threshold inside a block, runs 0 and 1 never do
         assert want["bad"].tolist() == [False, False, True, True]
         first = [int(np.argmax(~(want["msd"][r] <= 1e12))) for r in (2, 3)]
@@ -1047,7 +1064,7 @@ def test_general_link_noise_is_chunk_and_thread_invariant(layout):
     def simulate(chunk_size, threads):
         opts = SimulationOptions(adaptive_slot="a2" if layout == "adaptive" else None,
                                  record_mean_error=True, chunk_size=chunk_size, threads=threads)
-        return run_monte_carlo(net, mats, opts, runs=5, iterations=WINDOW + 20,
+        return run_monte_carlo(net, mats, opts, runs=5, iterations=276,
                                rng_policy=RngPolicy(2))
 
     want = simulate(5, 1)
@@ -1055,6 +1072,44 @@ def test_general_link_noise_is_chunk_and_thread_invariant(layout):
         got = simulate(chunk_size, threads)
         for name in ("msd", "emse", "mean_error", "mean_error_stderr"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("layout, target", [
+    ("atc", "constant"), ("cta", "random_walk"), ("adaptive", "rotation"),
+    ("sharing", "random_walk"), ("sharing", "rotation")])
+def test_window_length_does_not_change_any_output(layout, target, monkeypatch):
+    """Windows of one block, of three blocks and of the whole run give byte-identical
+    curves and recordings: each window's draws continue every stream where the last
+    one stopped."""
+    net, _ = block_case(target)
+    a, eye = uniform(net.topology), np.eye(5)
+    mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
+            "cta": CombinationMatrices(a1=a, c=eye, a2=eye),
+            "adaptive": CombinationMatrices(a1=a, c=eye, a2=a),
+            "sharing": CombinationMatrices(a1=a, c=a.T, a2=a)}[layout]
+    opts = SimulationOptions(adaptive_slot="a2" if layout == "adaptive" else None,
+                             record_mean_error=True, record_trajectory=True)
+    runs, iterations = 3, 100
+
+    def sampler():
+        return _Sampler(net, StepOperator(net, mats), target, RngPolicy(0), list(range(runs)),
+                        opts.adaptive_slot is not None)
+
+    one = sampler()
+    one.window(1)
+    step = sum(buf.nbytes for buf in one.buffers.values())  # one iteration of the chunk's noise
+    curves = {}
+    for blocks in (1, 3, iterations):
+        monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", blocks * BLOCK * step)
+        assert sampler().length == blocks * BLOCK
+        curves[blocks] = run_monte_carlo(net, mats, opts, runs=runs, iterations=iterations,
+                                         rng_policy=RngPolicy(6))
+    fields = ("msd", "emse", "mean_error", "mean_error_stderr", "avg_estimate", "avg_target")
+    for blocks in (3, iterations):
+        assert curves[blocks].divergent_runs == curves[1].divergent_runs
+        for name in fields:
+            assert (getattr(curves[blocks], name).tobytes()
+                    == getattr(curves[1], name).tobytes()), (blocks, name)
 
 
 class TestSteadyStateLevel:

@@ -19,7 +19,7 @@ import pytest
 import diffnet.simulate as simulate
 from diffnet.combine import uniform
 from diffnet.network import CombinationMatrices, VarianceRanges, WeightTrajectory, random_network
-from diffnet.simulate import WINDOW, RngPolicy, SimulationOptions, run_monte_carlo
+from diffnet.simulate import RngPolicy, SimulationOptions, run_monte_carlo
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -51,7 +51,7 @@ def counting(calls, key, fn):
     return counted
 
 
-@pytest.mark.parametrize("iterations", [40, WINDOW + 44])
+@pytest.mark.parametrize("iterations", [40, 300])
 def test_call_counts_seen_through_the_module_attributes(iterations, monkeypatch):
     n, runs = 4, 3
     ranges = VarianceRanges(sigma_w2=(1e-3, 1e-2), sigma_d2=(1e-3, 1e-2),
@@ -62,12 +62,23 @@ def test_call_counts_seen_through_the_module_attributes(iterations, monkeypatch)
     a = uniform(net.topology)
     mats = CombinationMatrices(a1=a, c=a.T, a2=a)
 
-    calls = {}
+    calls, samplers = {}, []
     for name in ("crandn", "diffusion_step"):
         monkeypatch.setattr(simulate, name, counting(calls, name, getattr(simulate, name)))
+    make_sampler = simulate._Sampler
+
+    def keep(*args, **kwargs):
+        samplers.append(make_sampler(*args, **kwargs))
+        return samplers[-1]
+
+    monkeypatch.setattr(simulate, "_Sampler", keep)
+    # a budget of 32 KiB cuts this chunk's noise into windows of a few blocks
+    monkeypatch.setattr(simulate, "WINDOW_BYTES", 1 << 15)
     run_monte_carlo(net, mats, SimulationOptions(chunk_size=runs), runs, iterations,
                     RngPolicy(0))
 
     # per run and window, one draw per source: u, v, eta, w, psi, d and u_link
-    windows = math.ceil(iterations / WINDOW)
+    [chunk] = samplers
+    windows = math.ceil(iterations / chunk.length)
+    assert windows > 1
     assert calls == {"crandn": runs * 7 * windows, "diffusion_step": iterations}
