@@ -11,16 +11,19 @@ Reproducibility contract: every (run, noise source) pair owns an independent
 RNG stream derived from the master seed. Curves are bit-identical for a fixed
 master seed whatever the thread count, ``chunk_size``, the length of the
 noise windows or the length ``BLOCK`` of the iteration blocks over which the
-curves are reduced; runs are reduced in run-index order. Each complex normal
-takes its real part, then its imaginary part, from its stream, so a window's
-draws continue the stream exactly as one longer draw would, and a window is as
-long as the chunk's noise buffers fit in ``WINDOW_BYTES``.
+curves are reduced. Every run's curves and recordings are allocated once, each
+chunk writes its own runs' rows in place, and the rows are reduced one run at a
+time in run-index order. Each complex normal takes its real part, then its
+imaginary part, from its stream, so a window's draws continue the stream
+exactly as one longer draw would, and a window is as long as the chunk's noise
+buffers fit in ``WINDOW_BYTES``.
 
 The sampler (``_Sampler``) draws every noise source through one table, one
 draw per (run, source) and window, coloured by the source's covariance factors.
 A static combine's link noise is drawn as each receiver's weighted sum, so a
 static rule draws O(runs N M) noise per iteration; the adaptive rule and data
-sharing read each link's noise. Either way a chunk holds O(WINDOW_BYTES) of it.
+sharing read each link's noise. Either way a chunk holds O(WINDOW_BYTES) of it,
+unless one iteration's noise alone exceeds that.
 
 ``diffusion_step`` is the single implementation of the recursion. It accepts
 arbitrary leading batch dimensions on the state, so the Monte-Carlo driver
@@ -332,10 +335,11 @@ class _Sampler:
     through each receiver's sum sum_l a_lk v_lk, a circular Gaussian of
     covariance sum_l |a_lk|^2 R_lk, so that source is a node source of that
     covariance; only the adaptive ``v_psi`` and data sharing's ``v_d`` and
-    ``v_u`` are per link. ``length`` is the window: the most iterations, in
-    whole blocks of ``BLOCK`` and at least one, whose buffers fit in
-    ``WINDOW_BYTES``. Buffers are sized by the first window and refilled in
-    place, so a chunk holds one window of noise however many windows it runs.
+    ``v_u`` are per link. ``length`` is the window: the most iterations whose
+    buffers fit in ``WINDOW_BYTES``, in whole blocks of ``BLOCK`` when one block
+    fits, else fewer, and at least one. Buffers are sized by the first window
+    and refilled in place, so a chunk holds one window of noise however many
+    windows it runs.
     """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
@@ -366,7 +370,8 @@ class _Sampler:
         self.gens = [{stream: policy.stream(run, stream) for stream, *_ in self.sources}
                      for run in runs]
         step = 16 * len(runs) * sum(slots * math.prod(tail) for _, _, slots, tail, _ in self.sources)
-        self.length = max(1, WINDOW_BYTES // step // BLOCK) * BLOCK
+        fit = WINDOW_BYTES // step
+        self.length = fit // BLOCK * BLOCK or max(1, fit)
         self.buffers = {}
 
     def _draw(self, t: int, stream: str, key: str, slots: int, tail: tuple, colour) -> np.ndarray:
@@ -385,9 +390,15 @@ class _Sampler:
         return {source[1]: self._draw(t, *source) for source in self.sources}
 
 
-def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
+def _simulate_chunk(network, op, mode, options, policy, runs, records):
+    """Simulate ``runs`` and write each run's curves and recordings into its row of ``records``.
+
+    ``records`` holds this chunk's rows of ``run_monte_carlo``'s per-run arrays: "msd" and
+    "emse" (runs, iterations); "bad", the divergence flags, False on entry; and,
+    when recorded, "err" (runs, iterations, N, M), "wbar" and "wtrue" (runs, iterations, M).
+    """
     n, m = op.n, op.m
-    r = len(runs)
+    r, iterations = records["msd"].shape
     sampler = _Sampler(network, op, mode, policy, runs,
                        adaptive=options.adaptive_slot is not None)
     nu = options.nu if options.adaptive_slot is not None else None
@@ -396,12 +407,6 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
     w_true = np.tile(np.asarray(network.weights.w0, dtype=complex), (r, 1))
     if mode == "rotation":
         phase = np.exp(1j * network.weights.omega)
-
-    msd, emse = np.empty((r, iterations)), np.empty((r, iterations))
-    bad = np.zeros(r, dtype=bool)
-    err_traj = np.empty((r, iterations, n, m), complex) if options.record_mean_error else None
-    wbar, wtrue_traj = ((np.empty((r, iterations, m), complex) for _ in range(2))
-                        if options.record_trajectory else (None, None))
 
     # w_seen[:, 0] holds the estimates entering a block, w_seen[:, j + 1] those
     # after its step j, and true_seen[:, j] the target of step j
@@ -439,25 +444,23 @@ def _simulate_chunk(network, op, mode, options, policy, runs, iterations):
                 # iteration's would be, so the curves do not depend on BLOCK
                 b, lo, hi = j + 1, done + t - j, done + t + 1
                 u = draws["u"][:, t - j:t + 1]
-                emse[:, lo:hi] = np.mean(
+                records["emse"][:, lo:hi] = np.mean(
                     np.abs(np.einsum("rtkm,rtkm->rtk", u, gap(b, w_seen[:, :b]))) ** 2, axis=2)
                 err = gap(b, w_seen[:, 1:b + 1])
                 # adding the squared moduli in order is what a sum over the last axis does
                 err2 = np.abs(err[..., 0]) ** 2
                 for c in range(1, m):
                     err2 += np.abs(err[..., c]) ** 2
-                msd[:, lo:hi] = np.mean(err2, axis=2)
+                records["msd"][:, lo:hi] = np.mean(err2, axis=2)
                 node_max = np.max(err2, axis=2)
-                bad |= np.any(~np.isfinite(node_max) | (node_max > DIVERGENCE_THRESHOLD), axis=1)
-                if err_traj is not None:
-                    err_traj[:, lo:hi] = err
-                if wbar is not None:
-                    wbar[:, lo:hi] = np.mean(w_seen[:, 1:b + 1], axis=2)
-                    wtrue_traj[:, lo:hi] = true_seen[:, :b]
+                records["bad"] |= np.any(~(node_max <= DIVERGENCE_THRESHOLD), axis=1)  # above, or NaN
+                if "err" in records:
+                    records["err"][:, lo:hi] = err
+                if "wbar" in records:
+                    records["wbar"][:, lo:hi] = np.mean(w_seen[:, 1:b + 1], axis=2)
+                    records["wtrue"][:, lo:hi] = true_seen[:, :b]
                 w_seen[:, 0] = state.w
             done += t_win
-    return {"msd": msd, "emse": emse, "bad": bad, "err": err_traj,
-            "wbar": wbar, "wtrue": wtrue_traj}
 
 
 def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
@@ -465,10 +468,13 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
                     rng_policy: RngPolicy) -> LearningCurve:
     """Average ``runs`` independent realizations over ``iterations`` steps.
 
-    Runs are simulated in fixed-size chunks (vectorized across the chunk) and
-    reduced in run order, so results do not depend on chunking or threads.
-    Runs whose error leaves the divergence threshold are excluded from all
-    averages and counted.
+    Every run's curves and recordings are allocated once, before the first
+    chunk, so that a run too large to hold fails at once. Runs are simulated in
+    fixed-size chunks (vectorized across the chunk), each writing its own rows
+    in place. The non-divergent runs' rows are then added one run at a time, in
+    run order, so results do not depend on chunking or threads. Runs whose
+    error leaves the divergence threshold are excluded from all averages and
+    counted.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -481,69 +487,60 @@ def run_monte_carlo(network: NetworkModel, matrices: CombinationMatrices,
             raise ValueError(f"{name} must be at least 1")
     mode = _resolve_mode(network, options.mode)
     op = StepOperator(network, matrices)
-    # every run's curves, made before the first chunk so that a runs too large to hold fails at once
-    msd_all, emse_all = np.empty((runs, iterations)), np.empty((runs, iterations))
-    bad = np.empty(runs, dtype=bool)
+    records = {"msd": np.empty((runs, iterations)), "emse": np.empty((runs, iterations)),
+               "bad": np.zeros(runs, dtype=bool)}
+    if options.record_mean_error:
+        records["err"] = np.empty((runs, iterations, op.n, op.m), dtype=complex)
+    if options.record_trajectory:
+        records["wbar"], records["wtrue"] = (np.empty((runs, iterations, op.m), dtype=complex)
+                                             for _ in range(2))
     starts = range(0, runs, options.chunk_size)
 
     def job(lo):
-        """The chunk of runs from ``lo``; its curves are copied into their rows as it returns."""
-        hi = min(lo + options.chunk_size, runs)
-        result = _simulate_chunk(network, op, mode, options, rng_policy, list(range(lo, hi)),
-                                 iterations)
-        msd_all[lo:hi], emse_all[lo:hi], bad[lo:hi] = (result.pop("msd"), result.pop("emse"),
-                                                       result["bad"])
-        return result
+        """The chunk of runs from ``lo``, written into its rows of ``records``."""
+        rows = slice(lo, min(lo + options.chunk_size, runs))
+        _simulate_chunk(network, op, mode, options, rng_policy, list(range(runs)[rows]),
+                        {key: record[rows] for key, record in records.items()})
 
     if options.threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor  # here, so a cold import skips it
 
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            results = list(pool.map(job, starts))
+            list(pool.map(job, starts))
     else:
-        results = [job(lo) for lo in starts]
-    return _reduce(msd_all, emse_all, bad, results, iterations, op.n, op.m, options)
+        for lo in starts:
+            job(lo)
 
-
-def _reduce(msd_all, emse_all, bad, results, iterations, n, m, options) -> LearningCurve:
-    runs = len(bad)
-    valid = ~bad
-    n_valid = int(valid.sum())
+    kept = np.flatnonzero(~records["bad"])
+    n_valid = len(kept)
     if n_valid == 0:
         nanrow = np.full(iterations, np.nan)
         return LearningCurve(msd=nanrow, emse=nanrow.copy(), runs=runs,
                              divergent_runs=runs)
-    msd, emse = msd_all[valid].mean(axis=0), emse_all[valid].mean(axis=0)
 
-    def valid_rows(key):
-        """The non-divergent runs' recordings in run order; a sum over axis 0
-        adds them run by run, so it does not depend on the chunking."""
-        return np.concatenate([r[key][~r["bad"]] for r in results])
+    def total(key, f=lambda row: row):
+        """The kept runs' rows of ``records[key]``, each through ``f``, added one run at a
+        time in run order from zero: the additions a sum over axis 0 makes, with no copy."""
+        acc = 0
+        for i in kept:
+            acc += f(records[key][i])
+        return acc
 
-    mean_error = mean_error_stderr = None
+    sums = {key: total(key) for key in records if key != "bad"}
+    curve = LearningCurve(msd=sums["msd"] / n_valid, emse=sums["emse"] / n_valid, runs=runs,
+                          divergent_runs=runs - n_valid)
+    if options.record_trajectory:
+        curve.avg_estimate, curve.avg_target = sums["wbar"] / n_valid, sums["wtrue"] / n_valid
     if options.record_mean_error:
-        err = valid_rows("err")
-        sum_err = err.sum(axis=0)
-        sum_sq = (np.abs(err) ** 2).sum(axis=0)
-        mean = sum_err / n_valid
+        sum_err, sum_sq = sums["err"], total("err", lambda row: np.abs(row) ** 2)
         if n_valid > 1:
             var = (sum_sq - np.abs(sum_err) ** 2 / n_valid) / (n_valid - 1)
             stderr = np.sqrt(np.clip(var, 0.0, None) / n_valid)
         else:
-            stderr = np.full((iterations, n, m), np.inf)
-        mean_error = mean.reshape(iterations, n * m)
-        mean_error_stderr = stderr.reshape(iterations, n * m)
-
-    avg_estimate = avg_target = None
-    if options.record_trajectory:
-        avg_estimate = valid_rows("wbar").sum(axis=0) / n_valid
-        avg_target = valid_rows("wtrue").sum(axis=0) / n_valid
-
-    return LearningCurve(msd=msd, emse=emse, runs=runs,
-                         divergent_runs=runs - n_valid,
-                         mean_error=mean_error,
-                         mean_error_stderr=mean_error_stderr,
-                         avg_estimate=avg_estimate, avg_target=avg_target)
+            stderr = np.full(sum_err.shape, np.inf)
+        curve.mean_error = (sum_err / n_valid).reshape(iterations, -1)
+        curve.mean_error_stderr = stderr.reshape(iterations, -1)
+    return curve
 
 
 def steady_state_level(values: np.ndarray, rho_b: float | None = None,
@@ -556,7 +553,7 @@ def steady_state_level(values: np.ndarray, rho_b: float | None = None,
     """
     values = np.asarray(values, dtype=float)
     iters = len(values)
-    start = int(np.ceil((1.0 - fraction) * iters))
+    start = min(int(np.ceil((1.0 - fraction) * iters)), iters - 1)  # at least the last one
     if rho_b is not None:
         if rho_b >= 1.0:
             raise ValueError("steady state undefined: mean recursion is unstable")

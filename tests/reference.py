@@ -303,7 +303,8 @@ WINDOW = 256  # simulate_chunk's own window length, not the engine's
 
 
 def simulate_chunk(network, op, mode, options, policy, runs, iterations):
-    """Same arguments and result as ``diffnet.simulate._simulate_chunk``."""
+    """The arguments of ``diffnet.simulate._simulate_chunk`` with ``iterations`` for its
+    records; returns what it writes into them, keyed alike, None for one not recorded."""
     n, m = op.n, op.m
     r = len(runs)
     sampler = _Sampler(network, op, mode, policy, runs,

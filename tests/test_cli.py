@@ -6,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,23 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 60
         assert "est_re_1" in rows[0] and "true_im_2" in rows[0]
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 4])
+    def test_short_run_reports_finite_levels(self, iters, tmp_path, capsys):
+        """A curve of one to four iterations averages at least its last iteration."""
+        main(["gen-scenario", "--preset", "noisy_exchange_atc", "--out", str(tmp_path)])
+        cfg = str(tmp_path / "scenario.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--runs", "2",
+                         "--iters", str(iters)]) == EXIT_OK
+            assert main(["compare", "--config", cfg, "--rules", "uniform,metropolis",
+                         "--simulate", "--runs", "2", "--iters", str(iters)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "trailing-average MSD: -" not in out and "EMSE: -" not in out
+        assert "nan" not in (tmp_path / "compare.csv").read_text()
+        rows = read_compare(tmp_path / "compare.csv").values()
+        assert all(math.isfinite(float(row["sim_msd_db"])) for row in rows)
 
     def test_zero_iterations_is_config_error(self, tmp_path):
         cfg = write_scenario(tmp_path, scalar_network(), runs=2, iterations=50)

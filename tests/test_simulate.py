@@ -1,4 +1,6 @@
 import csv
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -234,11 +236,17 @@ class TestSamplerMemory:
         assert t % BLOCK == 0 and t < 256
         assert self.held(sampler) <= WINDOW_BYTES < self.held(sampler) * 256 / t
 
-    def test_a_window_is_at_least_one_block(self, monkeypatch):
-        monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", 1)
-        _, sampler, draws = self.window("atc", adaptive=True)
-        assert sampler.length == BLOCK
-        assert draws["v_psi"].shape[1] == BLOCK
+    def test_a_window_below_one_block_is_cut_to_fit(self, monkeypatch):
+        """When one block of iterations overshoots the budget, the window holds as many
+        iterations as fit, and at least one."""
+        _, sampler, _ = self.window("atc", adaptive=True)
+        step = self.held(sampler) // sampler.length  # one iteration of the chunk's noise
+        for fit in (0, 1, 3, BLOCK - 1):
+            monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", fit * step + step - 1)
+            _, sampler, draws = self.window("atc", adaptive=True)
+            assert sampler.length == max(1, fit)
+            assert draws["v_psi"].shape[1] == sampler.length
+            assert self.held(sampler) == sampler.length * step
 
 
 class TestReceiverSums:
@@ -944,15 +952,24 @@ def block_case(target, m=2):
 
 
 def assert_chunks_equal(net, mats, options, iterations, runs=(0, 1, 2), seed=4):
-    """The block-wise chunk loop against the per-iteration oracle, key by key."""
+    """The block-wise chunk loop, written into records allocated here, against the
+    per-iteration oracle's result, key by key; a record not allocated matches None."""
     op = StepOperator(net, mats)
     mode = _resolve_mode(net, options.mode)
-    got = _simulate_chunk(net, op, mode, options, RngPolicy(seed), list(runs), iterations)
+    r = len(runs)
+    got = {"msd": np.full((r, iterations), np.nan), "emse": np.full((r, iterations), np.nan),
+           "bad": np.zeros(r, dtype=bool)}
+    if options.record_mean_error:
+        got["err"] = np.full((r, iterations, op.n, op.m), np.nan, dtype=complex)
+    if options.record_trajectory:
+        got["wbar"], got["wtrue"] = (np.full((r, iterations, op.m), np.nan, dtype=complex)
+                                     for _ in range(2))
+    assert _simulate_chunk(net, op, mode, options, RngPolicy(seed), list(runs), got) is None
     want = simulate_chunk(net, op, mode, options, RngPolicy(seed), list(runs), iterations)
-    assert got.keys() == want.keys()
+    assert set(got) <= set(want)
     for key in want:
         if want[key] is None:
-            assert got[key] is None, key
+            assert got.get(key) is None, key
         else:
             assert np.array_equal(got[key], want[key], equal_nan=True), key
     return want
@@ -984,11 +1001,14 @@ class TestBlockMetrics:
         net = single_node(m=2, sigma_v2=0.01, mu=1.0)
         options = SimulationOptions(record_mean_error=True, record_trajectory=True)
         want = assert_chunks_equal(net, CombinationMatrices.identity(1), options, 300,
-                                   runs=range(4), seed=49)
-        # runs 2 and 3 cross the threshold inside a block, runs 0 and 1 never do
-        assert want["bad"].tolist() == [False, False, True, True]
-        first = [int(np.argmax(~(want["msd"][r] <= 1e12))) for r in (2, 3)]
-        assert all(0 < i % BLOCK < BLOCK - 1 for i in first), first
+                                   runs=range(16), seed=49)
+        # each run's first iteration past the threshold, or None for a run that never is
+        past = ~(want["msd"] <= 1e12)
+        first = [int(np.argmax(row)) if row.any() else None for row in past]
+        assert want["bad"].tolist() == [i is not None for i in first]
+        # some runs cross the threshold inside a block, and some never do
+        assert any(i is not None and 0 < i % BLOCK < BLOCK - 1 for i in first), first
+        assert None in first, first
 
     def test_run_above_the_threshold_early_in_a_block_stays_divergent(self):
         # a stable node started far away: past the threshold on the first step only
@@ -1074,13 +1094,33 @@ def test_general_link_noise_is_chunk_and_thread_invariant(layout):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_holds_one_copy_of_the_records(threads):
+    """Every chunk writes its runs' rows of the records in place and the
+    reduction adds them one run at a time, so the peak stays under twice the records."""
+    net = random_network(5, 3, 2, 0.7, NOISY_RANGES)
+    a, eye = uniform(net.topology), np.eye(3)
+    options = SimulationOptions(record_mean_error=True, chunk_size=20, threads=threads)
+    runs, iterations = 200, 400
+    records = runs * iterations * (2 * 8 + 3 * 2 * 16) + runs  # msd, emse, err and the flags
+    tracemalloc.start()
+    try:
+        curve = run_monte_carlo(net, CombinationMatrices(a1=eye, c=a.T, a2=a), options,
+                                runs, iterations, RngPolicy(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.divergent_runs == 0
+    assert peak < 2 * records, peak / records
+
+
 @pytest.mark.parametrize("layout, target", [
     ("atc", "constant"), ("cta", "random_walk"), ("adaptive", "rotation"),
     ("sharing", "random_walk"), ("sharing", "rotation")])
 def test_window_length_does_not_change_any_output(layout, target, monkeypatch):
-    """Windows of one block, of three blocks and of the whole run give byte-identical
-    curves and recordings: each window's draws continue every stream where the last
-    one stopped."""
+    """Windows of three iterations, of one block, of three blocks and of the whole run
+    give byte-identical curves and recordings: each window's draws continue every
+    stream where the last one stopped."""
     net, _ = block_case(target)
     a, eye = uniform(net.topology), np.eye(5)
     mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
@@ -1099,17 +1139,17 @@ def test_window_length_does_not_change_any_output(layout, target, monkeypatch):
     one.window(1)
     step = sum(buf.nbytes for buf in one.buffers.values())  # one iteration of the chunk's noise
     curves = {}
-    for blocks in (1, 3, iterations):
-        monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", blocks * BLOCK * step)
-        assert sampler().length == blocks * BLOCK
-        curves[blocks] = run_monte_carlo(net, mats, opts, runs=runs, iterations=iterations,
+    for length in (3, BLOCK, 3 * BLOCK, iterations * BLOCK):
+        monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", length * step)
+        assert sampler().length == length
+        curves[length] = run_monte_carlo(net, mats, opts, runs=runs, iterations=iterations,
                                          rng_policy=RngPolicy(6))
     fields = ("msd", "emse", "mean_error", "mean_error_stderr", "avg_estimate", "avg_target")
-    for blocks in (3, iterations):
-        assert curves[blocks].divergent_runs == curves[1].divergent_runs
+    for length in (3, 3 * BLOCK, iterations * BLOCK):
+        assert curves[length].divergent_runs == curves[BLOCK].divergent_runs
         for name in fields:
-            assert (getattr(curves[blocks], name).tobytes()
-                    == getattr(curves[1], name).tobytes()), (blocks, name)
+            assert (getattr(curves[length], name).tobytes()
+                    == getattr(curves[BLOCK], name).tobytes()), (length, name)
 
 
 class TestSteadyStateLevel:
@@ -1125,6 +1165,18 @@ class TestSteadyStateLevel:
     def test_rejects_unstable(self):
         with pytest.raises(ValueError, match="unstable"):
             steady_state_level(np.ones(100), rho_b=1.0)
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 4, 5])
+    def test_short_curve_averages_at_least_its_last_iteration(self, iters):
+        values = np.arange(1.0, iters + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            level = steady_state_level(values)
+        assert level == values[-1]
+
+    def test_short_curve_is_still_unsettled(self):
+        with pytest.raises(ValueError, match="too short"):
+            steady_state_level(np.ones(3), rho_b=0.5)
 
 
 class TestCsvOutput:
