@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .combine import matrices_from_rules
+from .linalg import db10
 from .network import (
     NetworkModel,
     VarianceRanges,
@@ -243,20 +244,18 @@ PRESETS = {
 # commands
 
 
-def _out_dir(args, scenario: ScenarioConfig | None = None) -> Path:
-    if getattr(args, "out", None):
-        out = Path(args.out)
-    elif scenario is not None:
-        out = scenario.base_dir
-    else:
-        out = Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(args) -> Path:
+    out = Path(args.out) if args.out else Path.cwd()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out must name a directory: cannot create {out}: {exc}")
     return out
 
 
 def _output_paths(args, scenario: ScenarioConfig, keys) -> dict[str, Path]:
     """The checked file of each output in ``keys`` that has a name or a default."""
-    out = _out_dir(args, scenario)
+    out = _out_dir(args) if args.out else scenario.base_dir
     paths = {}
     for key in keys:
         name = scenario.outputs.get(key, OUTPUT_DEFAULTS[key])
@@ -269,20 +268,22 @@ def _output_paths(args, scenario: ScenarioConfig, keys) -> dict[str, Path]:
             raise ConfigError(f"outputs.{key}: cannot create the directory of {path}: {exc}")
         if path.is_dir():
             raise ConfigError(f"outputs.{key} must name a file, got {name!r}")
+        for other, taken in paths.items():
+            if taken.resolve() == path.resolve():
+                raise ConfigError(f"outputs.{other} and outputs.{key} both name {path}")
         paths[key] = path
     return paths
 
 
 def cmd_gen_scenario(args) -> int:
-    out = _out_dir(args)
-    network, scen = PRESETS[args.preset](args.seed)
+    network, scen = PRESETS[args.preset](_overrides(args)["seed"])
     report = validate(network)
     if not report.ok:
         raise ConfigError(f"preset produced an invalid network:\n{report}")
+    out = _out_dir(args)
     net_path = out / "network.json"
     save_network(network, net_path)
-    scenario = {"name": args.preset, "network": "network.json", "seed": args.seed}
-    scenario.update(scen)
+    scenario = {"name": args.preset, "network": "network.json", "seed": args.seed, **scen}
     scen_path = out / "scenario.json"
     with open(scen_path, "w") as fh:
         json.dump(scenario, fh, indent=2)
@@ -294,13 +295,16 @@ def cmd_gen_scenario(args) -> int:
     return EXIT_OK
 
 
-def _apply_overrides(scenario: ScenarioConfig, args) -> None:
+def _overrides(args) -> dict:
+    """The run fields given on the command line, each checked against its least value."""
+    values = {}
     for flag, name, least in _RUN_FIELDS:
         value = getattr(args, flag, None)
         if value is not None:
             if value < least:
                 raise ConfigError(f"--{flag} must be at least {least}, got {value}")
-            setattr(scenario, name, value)
+            values[name] = value
+    return values
 
 
 def _simulate_curve(scenario: ScenarioConfig, matrices, adaptive: bool,
@@ -329,16 +333,14 @@ def _fmt_db(value) -> str:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.config)
-    _apply_overrides(scenario, args)
+    scenario = replace(load_scenario(args.config), **_overrides(args))
     matrices, adaptive = _build_matrices(scenario)
     paths = _output_paths(args, scenario, ("curve", "trajectory"))
-    want_traj = "trajectory" in paths
-    curve = _simulate_curve(scenario, matrices, adaptive, want_traj)
+    curve = _simulate_curve(scenario, matrices, adaptive, "trajectory" in paths)
 
     curve_to_csv(curve, paths["curve"])
     print(f"wrote {paths['curve']}")
-    if want_traj and curve.avg_estimate is not None:
+    if curve.avg_estimate is not None:
         trajectory_to_csv(curve, paths["trajectory"])
         print(f"wrote {paths['trajectory']}")
 
@@ -346,8 +348,8 @@ def cmd_simulate(args) -> int:
     if curve.divergent_runs == curve.runs:
         print("every run diverged; no averages available", file=sys.stderr)
         return EXIT_UNSTABLE
-    tail_msd = 10.0 * np.log10(steady_state_level(curve.msd))
-    tail_emse = 10.0 * np.log10(steady_state_level(curve.emse))
+    tail_msd = db10(steady_state_level(curve.msd))
+    tail_emse = db10(steady_state_level(curve.emse))
     print(f"final MSD: {_fmt_db(curve.msd_db[-1])} dB  "
           f"final EMSE: {_fmt_db(curve.emse_db[-1])} dB")
     print(f"trailing-average MSD: {_fmt_db(tail_msd)} dB  "
@@ -399,8 +401,7 @@ def _infer_sweep_slot(rules: dict) -> str:
 
 
 def cmd_compare(args) -> int:
-    scenario = load_scenario(args.config)
-    _apply_overrides(scenario, args)
+    scenario = replace(load_scenario(args.config), **_overrides(args))
     rule_names = [r.strip() for r in args.rules.split(",") if r.strip()]
     if len(rule_names) < 2:
         raise ConfigError("compare needs at least two rules")
@@ -422,13 +423,12 @@ def cmd_compare(args) -> int:
             rho_b = data["rho_b"]
             if theory_msd_db is None:
                 notes += data["warnings"]
-        sim_msd_db = None
-        divergent = None
+        sim_msd_db = divergent = None
         if args.simulate:
             curve = _simulate_curve(trial, matrices, adaptive, record_trajectory=False)
             divergent = curve.divergent_runs
             if curve.divergent_runs < curve.runs:
-                sim_msd_db = 10.0 * np.log10(steady_state_level(curve.msd))
+                sim_msd_db = db10(steady_state_level(curve.msd))
                 if rho_b is not None:  # an unsettled tail is still reported, with a note
                     try:
                         steady_state_level(curve.msd, rho_b=rho_b)

@@ -9,14 +9,14 @@ measurements, regressors) act only on cross links.
 
 Reproducibility contract: every (run, noise source) pair owns an independent
 RNG stream derived from the master seed. Curves are bit-identical for a fixed
-master seed whatever the thread count, ``chunk_size``, the length of the
-noise windows or the length ``BLOCK`` of the iteration blocks over which the
-curves are reduced. Every run's curves and recordings are allocated once, each
-chunk writes its own runs' rows in place, and the rows are reduced one run at a
-time in run-index order. Each complex normal takes its real part, then its
-imaginary part, from its stream, so a window's draws continue the stream
-exactly as one longer draw would, and a window is as long as the chunk's noise
-buffers fit in ``WINDOW_BYTES``.
+master seed whatever the thread count, ``chunk_size`` or the length of the
+noise windows, over which the curves are also reduced. Every run's curves and
+recordings are allocated once, each chunk writes its own runs' rows in place,
+and the rows are reduced one run at a time in run-index order. Each complex
+normal takes its real part, then its imaginary part, from its stream, so a
+window's draws continue the stream exactly as one longer draw would, and a
+window is as long as the chunk's noise and history buffers fit in
+``WINDOW_BYTES``.
 
 The sampler (``_Sampler``) draws every noise source through one table, one
 draw per (run, source) and window, coloured by the source's covariance factors.
@@ -61,8 +61,7 @@ __all__ = [
 
 _SOURCE_IDS = {"u": 0, "v": 1, "eta": 2, "w": 3, "psi": 4, "d": 5, "u_link": 6}
 
-WINDOW_BYTES = 1 << 20  # a chunk's noise buffers per window; output-neutral
-BLOCK = 8  # iterations per curve reduction, output-neutral; kept under the 128 KiB mmap threshold
+WINDOW_BYTES = 1 << 20  # a chunk's noise and history buffers per window; output-neutral
 DIVERGENCE_THRESHOLD = 1e12  # squared node error above which a run counts as divergent
 
 
@@ -336,10 +335,10 @@ class _Sampler:
     covariance sum_l |a_lk|^2 R_lk, so that source is a node source of that
     covariance; only the adaptive ``v_psi`` and data sharing's ``v_d`` and
     ``v_u`` are per link. ``length`` is the window: the most iterations whose
-    buffers fit in ``WINDOW_BYTES``, in whole blocks of ``BLOCK`` when one block
-    fits, else fewer, and at least one. Buffers are sized by the first window
-    and refilled in place, so a chunk holds one window of noise however many
-    windows it runs.
+    noise, and whose history rows in ``_simulate_chunk`` (estimates, gaps and
+    targets), fit in ``WINDOW_BYTES``, and at least one. Buffers are sized by
+    the first window and refilled in place, so a chunk holds one window of
+    noise however many windows it runs.
     """
 
     def __init__(self, network: NetworkModel, op: StepOperator, mode: str,
@@ -369,9 +368,10 @@ class _Sampler:
                         for stream, key, slots, tail, cov in filter(None, table)]
         self.gens = [{stream: policy.stream(run, stream) for stream, *_ in self.sources}
                      for run in runs]
-        step = 16 * len(runs) * sum(slots * math.prod(tail) for _, _, slots, tail, _ in self.sources)
-        fit = WINDOW_BYTES // step
-        self.length = fit // BLOCK * BLOCK or max(1, fit)
+        history = 2 * nodes * op.m + op.m  # _simulate_chunk's w_seen, gap and true_seen rows
+        step = 16 * len(runs) * (history + sum(slots * math.prod(tail)
+                                               for _, _, slots, tail, _ in self.sources))
+        self.length = max(1, WINDOW_BYTES // step)
         self.buffers = {}
 
     def _draw(self, t: int, stream: str, key: str, slots: int, tail: tuple, colour) -> np.ndarray:
@@ -396,6 +396,8 @@ def _simulate_chunk(network, op, mode, options, policy, runs, records):
     ``records`` holds this chunk's rows of ``run_monte_carlo``'s per-run arrays: "msd" and
     "emse" (runs, iterations); "bad", the divergence flags, False on entry; and,
     when recorded, "err" (runs, iterations, N, M), "wbar" and "wtrue" (runs, iterations, M).
+    Each noise window is stepped, then its metrics and recordings are reduced at once,
+    over the same axes as one iteration's, so they do not depend on the window length.
     """
     n, m = op.n, op.m
     r, iterations = records["msd"].shape
@@ -408,25 +410,24 @@ def _simulate_chunk(network, op, mode, options, policy, runs, records):
     if mode == "rotation":
         phase = np.exp(1j * network.weights.omega)
 
-    # w_seen[:, 0] holds the estimates entering a block, w_seen[:, j + 1] those
-    # after its step j, and true_seen[:, j] the target of step j
-    w_seen = np.empty((r, BLOCK + 1, n, m), dtype=complex)
-    w_seen[:, 0] = state.w
-    true_seen = np.empty((r, BLOCK, m), dtype=complex)
-    gap_block = np.empty((r, BLOCK, n, m), dtype=complex)
+    # history rows, counted in the sampler's budget: estimates after each step, targets, gaps
+    rows = min(sampler.length, iterations)
+    w_seen, gap = (np.empty((r, rows, n, m), dtype=complex) for _ in range(2))
+    true_seen = np.empty((r, rows, m), dtype=complex)
 
-    def gap(b, w):
-        """The block's first ``b`` targets minus ``w``, one coordinate at a time: subtracting
-        the broadcast targets at once runs numpy's innermost loop over M alone."""
+    def subtract(true, w, out):
+        """``true`` minus ``w`` into ``out``, one coordinate at a time: subtracting the
+        broadcast targets at once runs numpy's innermost loop over M alone."""
         for c in range(m):
-            np.subtract(true_seen[:, :b, None, c], w[..., c], out=gap_block[:, :b, :, c])
-        return gap_block[:, :b]
+            np.subtract(true[..., None, c], w[..., c], out=out[..., c])
+        return out
 
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < iterations:
             t_win = min(sampler.length, iterations - done)
             draws = sampler.window(t_win)
+            w_in = state.w
             for t in range(t_win):
                 if mode == "random_walk":
                     w_true = w_true + draws["eta"][:, t, 0]
@@ -435,31 +436,28 @@ def _simulate_chunk(network, op, mode, options, policy, runs, records):
                 data = StepData(w_true=w_true, **{key: x[:, t] for key, x in draws.items()
                                                   if key != "eta"})
                 state = diffusion_step(state, op, data)
-                j = t % BLOCK
-                w_seen[:, j + 1] = state.w
-                true_seen[:, j] = w_true
-                if j + 1 < BLOCK and t + 1 < t_win:
-                    continue
-                # the block's metrics, each reduced over the same axes as one
-                # iteration's would be, so the curves do not depend on BLOCK
-                b, lo, hi = j + 1, done + t - j, done + t + 1
-                u = draws["u"][:, t - j:t + 1]
-                records["emse"][:, lo:hi] = np.mean(
-                    np.abs(np.einsum("rtkm,rtkm->rtk", u, gap(b, w_seen[:, :b]))) ** 2, axis=2)
-                err = gap(b, w_seen[:, 1:b + 1])
-                # adding the squared moduli in order is what a sum over the last axis does
-                err2 = np.abs(err[..., 0]) ** 2
-                for c in range(1, m):
-                    err2 += np.abs(err[..., c]) ** 2
-                records["msd"][:, lo:hi] = np.mean(err2, axis=2)
-                node_max = np.max(err2, axis=2)
-                records["bad"] |= np.any(~(node_max <= DIVERGENCE_THRESHOLD), axis=1)  # above, or NaN
-                if "err" in records:
-                    records["err"][:, lo:hi] = err
-                if "wbar" in records:
-                    records["wbar"][:, lo:hi] = np.mean(w_seen[:, 1:b + 1], axis=2)
-                    records["wtrue"][:, lo:hi] = true_seen[:, :b]
-                w_seen[:, 0] = state.w
+                w_seen[:, t] = state.w
+                true_seen[:, t] = w_true
+            win, g, truth, after = (slice(done, done + t_win), gap[:, :t_win],
+                                    true_seen[:, :t_win], w_seen[:, :t_win])
+            # a step's EMSE is on the estimates entering it
+            subtract(truth[:, :1], w_in[:, None], g[:, :1])
+            subtract(truth[:, 1:], after[:, :-1], g[:, 1:])
+            records["emse"][:, win] = np.mean(
+                np.abs(np.einsum("rtkm,rtkm->rtk", draws["u"], g)) ** 2, axis=2)
+            err = subtract(truth, after, g)
+            # adding the squared moduli in order is what a sum over the last axis does
+            err2 = np.abs(err[..., 0]) ** 2
+            for c in range(1, m):
+                err2 += np.abs(err[..., c]) ** 2
+            records["msd"][:, win] = np.mean(err2, axis=2)
+            node_max = np.max(err2, axis=2)
+            records["bad"] |= np.any(~(node_max <= DIVERGENCE_THRESHOLD), axis=1)  # above, or NaN
+            if "err" in records:
+                records["err"][:, win] = err
+            if "wbar" in records:
+                records["wbar"][:, win] = np.mean(after, axis=2)
+                records["wtrue"][:, win] = truth
             done += t_win
 
 

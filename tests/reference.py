@@ -7,7 +7,7 @@ array operations. The node-at-a-time versions here are what those are
 checked against, and ``noise_numerator`` is the three-term assembly of the
 Stein numerator W that ``diffnet.theory.assemble_noise_moments`` is checked
 against. ``simulate_chunk`` is the engine's chunk loop with its learning-curve
-metrics computed one iteration at a time, the oracle for the block-wise
+metrics computed one iteration at a time, the oracle for the window-wise
 reduction in ``diffnet.simulate._simulate_chunk``, over windows of its own
 length; ``crandn_pairs`` is the complex sampler as one real draw of each
 entry's [re, im] pair and a complex division. The block maximum norm, the series EMSE and a topology's ``neighbors`` and

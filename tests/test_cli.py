@@ -97,6 +97,13 @@ class TestGenScenario:
               "--out", str(b)])
         assert (a / "network.json").read_bytes() != (b / "network.json").read_bytes()
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-scenario", "--preset", "noisy_exchange_atc", "--seed", "-1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generated_scenario_simulates(self, tmp_path):
         out = tmp_path / "s"
         main(["gen-scenario", "--preset", "noisy_exchange_atc", "--out", str(out)])
@@ -148,6 +155,20 @@ class TestSimulate:
         assert "nan" not in (tmp_path / "compare.csv").read_text()
         rows = read_compare(tmp_path / "compare.csv").values()
         assert all(math.isfinite(float(row["sim_msd_db"])) for row in rows)
+
+    def test_error_that_reaches_zero_reports_minus_infinity(self, tmp_path, capsys):
+        """A noiseless node with mu = 1 drives its error to exactly 0; the levels print
+        as "-" with no warning."""
+        cfg = write_scenario(tmp_path, scalar_network(mu=1.0, sigma_v2=0.0), runs=4,
+                             iterations=4000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+            assert main(["compare", "--config", str(cfg), "--rules", "uniform,metropolis",
+                         "--simulate"]) == EXIT_OK
+        assert "trailing-average MSD: - dB  EMSE: - dB" in capsys.readouterr().out
+        rows = read_compare(tmp_path / "compare.csv").values()
+        assert [row["sim_msd_db"] for row in rows] == ["-inf", "-inf"]
 
     def test_zero_iterations_is_config_error(self, tmp_path):
         cfg = write_scenario(tmp_path, scalar_network(), runs=2, iterations=50)
@@ -397,6 +418,33 @@ class TestScenarioSchema:
         assert main(command + ["--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert (f"outputs key '{key}'" if key == "curves" else f"outputs.{key}") in err
+
+    @pytest.mark.parametrize("trajectory", ["c.csv", "./c.csv", "sub/../c.csv"])
+    def test_two_outputs_naming_one_file_is_config_error_before_any_work(
+            self, trajectory, tmp_path, capsys, monkeypatch):
+        import diffnet.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its output paths")
+
+        monkeypatch.setattr(diffnet.cli, "run_monte_carlo", no_work)
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10,
+                             outputs={"curve": "c.csv", "trajectory": trajectory})
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "outputs.curve and outputs.trajectory both name" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("command", [["gen-scenario", "--preset", "noisy_exchange_atc"],
+                                         ["simulate"], ["theory"],
+                                         ["compare", "--rules", "uniform,metropolis"]],
+                             ids=["gen-scenario", "simulate", "theory", "compare"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_through_a_file_is_config_error(self, command, out, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scalar_network(), runs=1, iterations=10)
+        (tmp_path / "taken").write_text("")
+        config = [] if command[0] == "gen-scenario" else ["--config", str(cfg)]
+        assert main(command + config + ["--out", str(tmp_path / out)]) == EXIT_CONFIG
+        assert "--out must name a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, outputs", [
         (["simulate"], {"curve": "sub/c.csv", "trajectory": "sub/deeper/t.csv"}),

@@ -32,7 +32,7 @@ from diffnet.simulate import (
     trajectory_to_csv,
 )
 from diffnet.linalg import crandn, psd_factor
-from diffnet.simulate import (BLOCK, WINDOW_BYTES, _colouring, _resolve_mode, _Sampler,
+from diffnet.simulate import (WINDOW_BYTES, _colouring, _resolve_mode, _Sampler,
                               _simulate_chunk)
 from reference import (AdaptiveWeightState, adaptive_update, crandn_pairs, neighbors,
                        simulate_chunk)
@@ -199,7 +199,7 @@ class TestPerturbExchange:
 
 class TestSamplerMemory:
     """A static rule's window holds receiver sums, O(runs t N M); no buffer has a link axis.
-    Every window's buffers fit in ``WINDOW_BYTES``, in whole blocks of ``BLOCK`` iterations."""
+    Every window's noise, with the chunk's history rows, fits in ``WINDOW_BYTES``."""
 
     RUNS = 3
 
@@ -216,37 +216,79 @@ class TestSamplerMemory:
     def held(sampler):
         return sum(buf.nbytes for buf in sampler.buffers.values())
 
+    @classmethod
+    def per_iteration(cls, net, sampler):
+        """One iteration's noise, measured, plus the chunk's history rows: estimates and
+        gaps (N, M) and the target (M,) for each run."""
+        n, m = net.n_nodes, net.m_dim
+        return cls.held(sampler) // sampler.length + 16 * cls.RUNS * (2 * n * m + m)
+
     @pytest.mark.parametrize("layout, key", [("atc", "v_psi"), ("cta", "v_w")])
     def test_static_rules_hold_receiver_sums(self, layout, key):
         net, sampler, draws = self.window(layout)
         n, m, n_links, t = net.n_nodes, net.m_dim, len(net.links), sampler.length
         assert n_links > 4 * n
-        assert t % BLOCK == 0
         assert draws[key].shape == (self.RUNS, t, n, m)
         assert all(n_links not in buf.shape[2:] for buf in sampler.buffers.values())
         assert self.held(sampler) == self.RUNS * t * n * (2 * m + 1) * 16  # u, v and the sums
-        # the budget is filled to within one block of iterations
-        assert self.held(sampler) <= WINDOW_BYTES < self.held(sampler) * (t + BLOCK) / t
+        # the budget is filled to within one iteration
+        step = self.per_iteration(net, sampler)
+        assert t * step <= WINDOW_BYTES < (t + 1) * step
 
     def test_adaptive_rule_keeps_per_link_noise(self):
         net, sampler, draws = self.window("atc", adaptive=True)
         t = sampler.length
         assert draws["v_psi"].shape == (self.RUNS, t, len(net.links), net.m_dim)
         # the per-link window is cut to the budget, where 256 iterations would exceed it
-        assert t % BLOCK == 0 and t < 256
-        assert self.held(sampler) <= WINDOW_BYTES < self.held(sampler) * 256 / t
+        step = self.per_iteration(net, sampler)
+        assert t < 256
+        assert t * step <= WINDOW_BYTES < (t + 1) * step
 
-    def test_a_window_below_one_block_is_cut_to_fit(self, monkeypatch):
-        """When one block of iterations overshoots the budget, the window holds as many
-        iterations as fit, and at least one."""
-        _, sampler, _ = self.window("atc", adaptive=True)
-        step = self.held(sampler) // sampler.length  # one iteration of the chunk's noise
-        for fit in (0, 1, 3, BLOCK - 1):
+    def test_a_window_holds_as_many_iterations_as_fit(self, monkeypatch):
+        """The window holds as many iterations as fit in the budget, and at least one."""
+        net, sampler, _ = self.window("atc", adaptive=True)
+        noise = self.held(sampler) // sampler.length  # one iteration of the chunk's noise
+        step = self.per_iteration(net, sampler)
+        for fit in (0, 1, 3, 7, 8, 24):
             monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", fit * step + step - 1)
             _, sampler, draws = self.window("atc", adaptive=True)
             assert sampler.length == max(1, fit)
             assert draws["v_psi"].shape[1] == sampler.length
-            assert self.held(sampler) == sampler.length * step
+            assert self.held(sampler) == sampler.length * noise
+
+    @pytest.mark.parametrize("fit", [1, 3, 24])
+    @pytest.mark.parametrize("layout, adaptive", [("atc", False), ("cta", False), ("atc", True)])
+    def test_a_chunk_holds_one_window_of_noise_and_history(self, layout, adaptive, fit,
+                                                          monkeypatch):
+        """Every buffer a chunk allocates with ``np.empty``, its noise and its history
+        rows, fits in ``WINDOW_BYTES`` whenever one iteration does."""
+        net, sampler, _ = self.window(layout, adaptive)
+        step = self.per_iteration(net, sampler)
+        budget = fit * step + step - 1
+        monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", budget)
+        allocated = []
+
+        class Recording:
+            """numpy, recording the size of each ``np.empty``."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                allocated.append(np.empty(*args, **kwargs))
+                return allocated[-1]
+
+        iterations = 40
+        records = {"msd": np.empty((self.RUNS, iterations)),
+                   "emse": np.empty((self.RUNS, iterations)),
+                   "bad": np.zeros(self.RUNS, dtype=bool)}
+        monkeypatch.setattr("diffnet.simulate.np", Recording())
+        _simulate_chunk(net, sampler.op, "constant",
+                        SimulationOptions(adaptive_slot="a2" if adaptive else None),
+                        RngPolicy(0), list(range(self.RUNS)), records)
+        assert sum(buf.nbytes for buf in allocated) == fit * step <= budget
+        assert not records["bad"].any()
 
 
 class TestReceiverSums:
@@ -952,7 +994,7 @@ def block_case(target, m=2):
 
 
 def assert_chunks_equal(net, mats, options, iterations, runs=(0, 1, 2), seed=4):
-    """The block-wise chunk loop, written into records allocated here, against the
+    """The window-wise chunk loop, written into records allocated here, against the
     per-iteration oracle's result, key by key; a record not allocated matches None."""
     op = StepOperator(net, mats)
     mode = _resolve_mode(net, options.mode)
@@ -976,7 +1018,7 @@ def assert_chunks_equal(net, mats, options, iterations, runs=(0, 1, 2), seed=4):
 
 
 class TestBlockMetrics:
-    """The learning-curve metrics, reduced once per block, against one iteration at a time."""
+    """The learning-curve metrics, reduced once per window, against one iteration at a time."""
 
     @pytest.mark.parametrize("iterations", [1, 31, 33, 256, 257, 300])
     @pytest.mark.parametrize("target, adaptive", [
@@ -997,8 +1039,13 @@ class TestBlockMetrics:
                                     record_trajectory=record_trajectory)
         assert_chunks_equal(net, mats, options, 300)
 
-    def test_run_diverging_partway_through_a_block(self):
+    def test_run_diverging_partway_through_a_block(self, monkeypatch):
         net = single_node(m=2, sigma_v2=0.01, mu=1.0)
+        # windows of 8 iterations: per run, 3 noise values (u, v) and 6 history values
+        monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", 8 * 16 * 16 * 9)
+        eye = CombinationMatrices.identity(1)
+        assert _Sampler(net, StepOperator(net, eye), "constant", RngPolicy(0), list(range(16)),
+                        False).length == 8
         options = SimulationOptions(record_mean_error=True, record_trajectory=True)
         want = assert_chunks_equal(net, CombinationMatrices.identity(1), options, 300,
                                    runs=range(16), seed=49)
@@ -1006,8 +1053,8 @@ class TestBlockMetrics:
         past = ~(want["msd"] <= 1e12)
         first = [int(np.argmax(row)) if row.any() else None for row in past]
         assert want["bad"].tolist() == [i is not None for i in first]
-        # some runs cross the threshold inside a block, and some never do
-        assert any(i is not None and 0 < i % BLOCK < BLOCK - 1 for i in first), first
+        # some runs cross the threshold inside a window, and some never do
+        assert any(i is not None and 0 < i % 8 < 7 for i in first), first
         assert None in first, first
 
     def test_run_above_the_threshold_early_in_a_block_stays_divergent(self):
@@ -1016,7 +1063,7 @@ class TestBlockMetrics:
         want = assert_chunks_equal(net, CombinationMatrices.identity(1), SimulationOptions(), 40,
                                    runs=range(2))
         assert want["bad"].all()
-        assert (want["msd"][:, 0] > 1e12).all() and (want["msd"][:, BLOCK - 1] < 1e12).all()
+        assert (want["msd"][:, 0] > 1e12).all() and (want["msd"][:, 7] < 1e12).all()
 
 
 @st.composite
@@ -1118,9 +1165,10 @@ def test_monte_carlo_holds_one_copy_of_the_records(threads):
     ("atc", "constant"), ("cta", "random_walk"), ("adaptive", "rotation"),
     ("sharing", "random_walk"), ("sharing", "rotation")])
 def test_window_length_does_not_change_any_output(layout, target, monkeypatch):
-    """Windows of three iterations, of one block, of three blocks and of the whole run
-    give byte-identical curves and recordings: each window's draws continue every
-    stream where the last one stopped."""
+    """Windows of one, three, eight and 24 iterations and of the whole run give
+    byte-identical curves and recordings: each window's draws continue every stream
+    where the last one stopped, and each window's metrics are reduced over the same
+    axes as one iteration's."""
     net, _ = block_case(target)
     a, eye = uniform(net.topology), np.eye(5)
     mats = {"atc": CombinationMatrices(a1=eye, c=eye, a2=a),
@@ -1137,19 +1185,21 @@ def test_window_length_does_not_change_any_output(layout, target, monkeypatch):
 
     one = sampler()
     one.window(1)
-    step = sum(buf.nbytes for buf in one.buffers.values())  # one iteration of the chunk's noise
+    # one iteration of the chunk's noise and of its history rows
+    step = (sum(buf.nbytes for buf in one.buffers.values())
+            + 16 * runs * (2 * net.n_nodes * net.m_dim + net.m_dim))
     curves = {}
-    for length in (3, BLOCK, 3 * BLOCK, iterations * BLOCK):
+    for length in (1, 3, 8, 24, iterations):
         monkeypatch.setattr("diffnet.simulate.WINDOW_BYTES", length * step)
         assert sampler().length == length
         curves[length] = run_monte_carlo(net, mats, opts, runs=runs, iterations=iterations,
                                          rng_policy=RngPolicy(6))
     fields = ("msd", "emse", "mean_error", "mean_error_stderr", "avg_estimate", "avg_target")
-    for length in (3, 3 * BLOCK, iterations * BLOCK):
-        assert curves[length].divergent_runs == curves[BLOCK].divergent_runs
+    for length in (1, 3, 24, iterations):
+        assert curves[length].divergent_runs == curves[8].divergent_runs
         for name in fields:
             assert (getattr(curves[length], name).tobytes()
-                    == getattr(curves[BLOCK], name).tobytes()), (length, name)
+                    == getattr(curves[8], name).tobytes()), (length, name)
 
 
 class TestSteadyStateLevel:
