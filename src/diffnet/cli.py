@@ -82,6 +82,7 @@ class ScenarioConfig:
     mode: str | None = None
     outputs: dict = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path.cwd)
+    inputs: dict = field(default_factory=dict)  # what names each input file -> its path
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -140,6 +141,8 @@ def load_scenario(path) -> ScenarioConfig:
             mode=data.get("mode"),
             outputs=dict(outputs),
             base_dir=base_dir,
+            inputs={"the scenario file": path,
+                    **({"network": base_dir / net_spec} if isinstance(net_spec, str) else {})},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario field: {exc}")
@@ -253,15 +256,34 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _input_files(args, scenario: ScenarioConfig) -> dict[str, Path]:
+    """Every file the command reads, resolved, under the name that gives it."""
+    files = dict(scenario.inputs)
+    selectors = [(f"rules.{slot}", sel) for slot, sel in scenario.rules.items()]
+    selectors += [("--rules", sel.strip()) for sel in getattr(args, "rules", "").split(",")]
+    for what, sel in selectors:
+        if isinstance(sel, str) and sel.startswith("file:"):
+            files[f"{what} {sel}"] = scenario.base_dir / sel[len("file:"):]
+    return {what: path.resolve() for what, path in files.items()}
+
+
 def _output_paths(args, scenario: ScenarioConfig, keys) -> dict[str, Path]:
-    """The checked file of each output in ``keys`` that has a name or a default."""
+    """The checked file of each output in ``keys`` that has a name or a default.
+
+    No output may name an input, or another output.
+    """
     out = _out_dir(args) if args.out else scenario.base_dir
+    inputs = _input_files(args, scenario)
     paths = {}
     for key in keys:
         name = scenario.outputs.get(key, OUTPUT_DEFAULTS[key])
         if name is None:
             continue
         path = out / name
+        for what, source in inputs.items():
+            if source == path.resolve():
+                raise ConfigError(f"outputs.{key} and {what} both name {source}; "
+                                  "an output may not overwrite an input")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

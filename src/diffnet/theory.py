@@ -15,6 +15,17 @@ target adds R_zeta = 1 1^T (x) R_eta. X is solved by squared Smith doubling
 (R. A. Smith, SIAM J. Appl. Math. 16(1), 1968) with NM x NM products only.
 Network MSD uses weighting I/N, network EMSE the block-diagonal regressor
 covariance over N.
+
+B is real whenever R_u, the regressor link noise and the combine matrices
+are, as on the noisy-exchange presets. Assembly checks once whether any entry
+of B has an imaginary part; if none has, B is stored real and the Stein
+solve, the spectral radius and the bias solve run in float64. A complex W
+(z != 0 with a complex w0) is then solved as its real and imaginary parts.
+The lifts are real, so W is assembled from real products either way.
+``theory_report`` records this in ``diagnostics``: ``arithmetic`` ("real" or
+"complex"), ``stein_steps`` (doubling steps) and ``residual`` (the largest
+||X - B X B^H - W||_F / ||X||_F over the numerators), the last two None when
+no steady state is solved.
 """
 
 from __future__ import annotations
@@ -55,16 +66,28 @@ class InstabilityError(RuntimeError):
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """(N, M, M) stack -> (NM, NM) block diagonal."""
+    """(N, M, M) stack -> (NM, NM) block diagonal, of the stack's dtype."""
     n, m, _ = blocks.shape
-    out = np.zeros((n, m, n, m), dtype=complex)
+    out = np.zeros((n, m, n, m), dtype=blocks.dtype)
     out[np.arange(n), :, np.arange(n), :] = blocks
     return out.reshape(n * m, n * m)
 
 
+def _real_sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ x @ right for real ``left`` and ``right``, in real products on x's two parts."""
+    if not np.iscomplexobj(x):
+        return left @ x @ right
+    re, im = left @ np.stack([x.real, x.imag]) @ right
+    return re + 1j * im
+
+
 @dataclass
 class MeanDynamics:
-    """Mean error recursion  E err_i = b (E err_{i-1}) - a2_lift^T big_m z."""
+    """Mean error recursion  E err_i = b (E err_{i-1}) - a2_lift^T big_m z.
+
+    ``b`` is float64 when it has no imaginary part, and every solve on it then
+    runs in real arithmetic.
+    """
 
     n_nodes: int
     m_dim: int
@@ -76,6 +99,11 @@ class MeanDynamics:
     a1_lift: np.ndarray
     a2_lift: np.ndarray
     c_lift: np.ndarray
+
+    @property
+    def arithmetic(self) -> str:
+        """"real" or "complex": the arithmetic of every solve on ``b``."""
+        return "complex" if np.iscomplexobj(self.b) else "real"
 
     @cached_property
     def rho_b(self) -> float:
@@ -94,7 +122,8 @@ def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
 
     r_prime[k] aggregates the regressor covariances node k consumes through
     data sharing, link noise included; z stacks the per-node mean drift that
-    regressor link noise injects (zero without it).
+    regressor link noise injects (zero without it). b keeps its imaginary
+    part only if some entry of it is nonzero.
     """
     n, m = network.n_nodes, network.m_dim
     if w_o is None:
@@ -111,7 +140,11 @@ def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
 
     big_m = np.kron(np.diag(network.nodes.mu), np.eye(m))
     a1_lift, a2_lift, c_lift = (np.kron(a, np.eye(m)) for a in (matrices.a1, matrices.a2, c))
-    b = a2_lift.T @ (np.eye(n * m) - big_m @ _block_diag(r_prime)) @ a1_lift.T
+    mu_lift = np.repeat(network.nodes.mu, m)
+    b = _real_sandwich(a2_lift.T, np.eye(n * m) - mu_lift[:, None] * _block_diag(r_prime),
+                       a1_lift.T)
+    if not np.any(b.imag):
+        b = np.ascontiguousarray(b.real)
     return MeanDynamics(n_nodes=n, m_dim=m, w_o=w_o, r_prime=r_prime, b=b,
                         z=z_blocks.reshape(-1), big_m=big_m,
                         a1_lift=a1_lift, a2_lift=a2_lift, c_lift=c_lift)
@@ -120,11 +153,16 @@ def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
 def bias(mean_dynamics: MeanDynamics) -> np.ndarray:
     """Asymptotic mean error: the fixed point of the mean recursion.
 
-    Solves (I - b) g = -a2_lift^T big_m z. Zero exactly when z is zero.
+    Solves (I - b) g = -a2_lift^T big_m z. Zero exactly when z is zero. A real
+    b takes the real and imaginary parts of the right side as two real columns.
     """
     md = mean_dynamics
     rhs = -(md.a2_lift.T @ (md.big_m @ md.z))
-    return np.linalg.solve(np.eye(len(rhs)) - md.b, rhs)
+    lhs = np.eye(len(rhs)) - md.b
+    if np.iscomplexobj(lhs):
+        return np.linalg.solve(lhs, rhs)
+    parts = np.linalg.solve(lhs, np.stack([rhs.real, rhs.imag], axis=1))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 @dataclass
@@ -190,7 +228,8 @@ def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
                            mean_dynamics: MeanDynamics | None = None) -> np.ndarray:
     """The numerator W of the steady-state Stein equation, as in the module docstring.
 
-    M is diagonal, so it is applied as a scale; W takes four NM x NM products.
+    M is diagonal, so it is applied as a scale; W takes four NM x NM products,
+    all real: the lifts are real, so each multiplies W's two parts in turn.
     """
     md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
     links = network.topology.link_table()
@@ -211,10 +250,10 @@ def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
     quad = np.einsum("m,pmq,q->p", w_o.conj(), ln.r_u_link, w_o).real[:, None, None]
     t = link_sum(matrices.c, (sigma_v2[src, None, None] + sd2) * ln.r_u_link
                  + (sd2 + quad) * r_u[src])
-    shared = md.c_lift.T @ s @ md.c_lift + t + np.outer(md.z, md.z.conj())
+    shared = _real_sandwich(md.c_lift.T, s, md.c_lift) + t + np.outer(md.z, md.z.conj())
     cross = np.outer(md.a1_lift.T @ md.bias_g, md.z.conj() * mu)
     inner = link_sum(matrices.a1, ln.r_w) + mu[:, None] * shared * mu - cross - cross.conj().T
-    return md.a2_lift.T @ inner @ md.a2_lift + link_sum(matrices.a2, ln.r_psi)
+    return _real_sandwich(md.a2_lift.T, inner, md.a2_lift) + link_sum(matrices.a2, ln.r_psi)
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +284,68 @@ def _series_accumulate(b: np.ndarray, numerator: np.ndarray, omega: np.ndarray,
     raise InstabilityError(f"series did not converge within {max_terms} terms")
 
 
-def _stein_solve(b: np.ndarray, numerators, rho_b: float) -> np.ndarray:
-    """Stack of solutions X = b X b^H + W, one per numerator W, by squared Smith doubling.
+@dataclass
+class SteinSolution:
+    """The solutions X of one Stein solve, one per numerator; iterating yields them.
+
+    ``steps`` counts the doubling steps; ``residual`` is the largest
+    ||X - b X b^H - W||_F / ||X||_F over the numerators.
+    """
+
+    x: np.ndarray
+    steps: int
+    residual: float
+
+    def __iter__(self):
+        return iter(self.x)
+
+
+def _stein_solve(b: np.ndarray, numerators, rho_b: float) -> SteinSolution:
+    """Solutions X = b X b^H + W, one per numerator W, by squared Smith doubling.
 
     Step k adds a x a^H with a = b^(2^k), doubling the series terms held in x.
     It stops once every increment is below machine precision relative to its x.
+    A real b runs in float64: the map is then real-linear, so the numerators'
+    real parts and, if any is nonzero, their imaginary parts are solved as
+    separate real numerators.
     """
     if rho_b ** 2 >= 1.0:
         raise InstabilityError(f"mean-square recursion unstable: rho(B)^2 = {rho_b ** 2:.6f} >= 1")
-    x = np.array(numerators, dtype=complex)
-    a = np.asarray(b, dtype=complex)
+    w = np.asarray(numerators)
+    count = len(w)
+    if not np.iscomplexobj(b) and np.iscomplexobj(w):
+        w = np.concatenate([w.real, w.imag]) if np.any(w.imag) else w.real
+    w = np.ascontiguousarray(w, dtype=np.result_type(b, w))
+    x, a = w, b
     eps = np.finfo(float).eps
-    for _ in range(STEIN_MAX_STEPS):
+    for steps in range(1, STEIN_MAX_STEPS + 1):
         step = a @ x @ a.conj().T
         x = x + step
         if np.all(np.linalg.norm(step, axis=(1, 2)) <= eps * np.linalg.norm(x, axis=(1, 2))):
-            return x
+            break
         a = a @ a
-    raise InstabilityError(f"Stein solve did not converge within {STEIN_MAX_STEPS} doubling steps")
+    else:
+        raise InstabilityError(f"Stein solve did not converge within {STEIN_MAX_STEPS} doubling steps")
+    residual = x - b @ x @ b.conj().T - w
+    if len(x) > count:  # the imaginary parts follow the real ones
+        x, residual = (part[:count] + 1j * part[count:] for part in (x, residual))
+    size = np.maximum(np.linalg.norm(x, axis=(1, 2)), np.finfo(float).tiny)
+    return SteinSolution(x=x, steps=steps,
+                         residual=float(np.max(np.linalg.norm(residual, axis=(1, 2)) / size)))
 
 
 def _steady_state(network: NetworkModel, matrices: CombinationMatrices, md: MeanDynamics,
-                  r_eta: np.ndarray | None = None) -> list[tuple[float, float]]:
+                  r_eta: np.ndarray | None = None
+                  ) -> tuple[list[tuple[float, float]], SteinSolution]:
     """(MSD, EMSE) for the Stein numerator W and, given ``r_eta``, for W + R_zeta, from one
-    Stein solve; ValueError if the combine does not keep R_zeta (``_tracking_numerator``)."""
+    Stein solve, and that solve; ValueError if the combine does not keep R_zeta
+    (``_tracking_numerator``)."""
     w = assemble_noise_moments(network, matrices, md)
     numerators = [w] if r_eta is None else [w, w + _tracking_numerator(md, r_eta)]
     omegas = _omegas(network)
+    solution = _stein_solve(md.b, numerators, md.rho_b)
     return [tuple(_check_real(complex(np.einsum("ij,ji->", x, omega)), "steady-state metric")
-                  for omega in omegas) for x in _stein_solve(md.b, numerators, md.rho_b)]
+                  for omega in omegas) for x in solution], solution
 
 
 def _omegas(network: NetworkModel) -> list[np.ndarray]:
@@ -284,7 +356,7 @@ def _omegas(network: NetworkModel) -> list[np.ndarray]:
 
 def network_metrics(network: NetworkModel, matrices: CombinationMatrices) -> tuple[float, float]:
     """(MSD, EMSE) in linear scale, one Stein solve for both."""
-    return _steady_state(network, matrices, assemble_mean_dynamics(network, matrices))[0]
+    return _steady_state(network, matrices, assemble_mean_dynamics(network, matrices))[0][0]
 
 
 def series_msd(mean_dynamics: MeanDynamics, numerator: np.ndarray,
@@ -322,15 +394,19 @@ class TrackingMetrics:
 def _tracking_numerator(md: MeanDynamics, r_eta: np.ndarray) -> np.ndarray:
     """R_zeta, the covariance that random-walk target increments add to W.
 
-    Every node sees the same increment, so R_zeta is rank structured. It must
+    Every node sees the same increment, so R_zeta = 1 1^T (x) R_eta. It must
     be invariant under the lifted combine steps, which holds whenever A1 and
-    A2 are left stochastic; the identity is verified numerically.
+    A2 are left stochastic; the identity is verified numerically. The lifted
+    steps map R_zeta to v v^T (x) R_eta, with v = A2^T A1^T 1 real, so the
+    Frobenius norm of the change is ||v v^T - 1 1^T|| ||R_eta||.
     """
     n = md.n_nodes
-    r_zeta = np.kron(np.ones((n, n)), np.asarray(r_eta, dtype=complex))
-    lhs = md.a2_lift.T @ md.a1_lift.T @ r_zeta @ md.a1_lift @ md.a2_lift
-    scale = max(float(np.linalg.norm(r_zeta)), 1.0)
-    if float(np.linalg.norm(lhs - r_zeta)) > 1e-10 * scale:
+    r_eta = np.asarray(r_eta, dtype=complex)
+    r_zeta = np.kron(np.ones((n, n)), r_eta)
+    v = (md.a2_lift.T @ (md.a1_lift.T @ np.ones(n * md.m_dim)))[::md.m_dim]
+    eta_norm = float(np.linalg.norm(r_eta))
+    scale = max(n * eta_norm, 1.0)
+    if float(np.linalg.norm(np.outer(v, v) - 1.0)) * eta_norm > 1e-10 * scale:
         raise ValueError(
             "tracking correction requires left-stochastic combination matrices"
         )
@@ -345,7 +421,7 @@ def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
     if r_eta is None:
         raise ValueError("tracking metrics need r_eta (none on the network)")
     (msd_st, emse_st), (msd, emse) = _steady_state(
-        network, matrices, assemble_mean_dynamics(network, matrices), r_eta)
+        network, matrices, assemble_mean_dynamics(network, matrices), r_eta)[0]
     return TrackingMetrics(msd=msd, emse=emse, msd_stationary=msd_st, emse_stationary=emse_st)
 
 
@@ -400,6 +476,7 @@ class TheoryReport:
     msd_track: float | None
     emse_track: float | None
     warnings: list[str]
+    diagnostics: dict
 
     def to_dict(self) -> dict:
         def to_db(x):
@@ -434,6 +511,7 @@ class TheoryReport:
         if self.msd_track is not None:
             out["msd_track_db"] = to_db(self.msd_track)
             out["emse_track_db"] = to_db(self.emse_track)
+        out["diagnostics"] = dict(self.diagnostics)
         return out
 
 
@@ -442,6 +520,8 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
 
     Instability never raises here: it lands in ``warnings`` and the affected
     metrics are left as None, as are MSD and EMSE for a rotating target.
+    ``diagnostics`` names the arithmetic of the solves and, once the Stein
+    solve has run, its doubling steps and residual (None before).
     """
     md = assemble_mean_dynamics(network, matrices)
     stab = stability_report(md)
@@ -466,6 +546,7 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
         warnings.append("bias solve failed: mean recursion is singular")
 
     msd = emse = msd_track = emse_track = None
+    diagnostics = {"arithmetic": md.arithmetic, "stein_steps": None, "residual": None}
     if not stab.mean_square_stable:
         warnings.append(f"mean-square-unstable: rho(B)^2 = {stab.rho_f:.6f}")
     elif network.weights.mode == "rotation":
@@ -474,10 +555,11 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
         r_eta = network.weights.r_eta if network.weights.mode == "random_walk" else None
         try:
             try:
-                values = _steady_state(network, matrices, md, r_eta)
+                values, solution = _steady_state(network, matrices, md, r_eta)
             except ValueError as exc:
                 warnings.append(f"tracking metrics failed: {exc}")
-                values = _steady_state(network, matrices, md)
+                values, solution = _steady_state(network, matrices, md)
+            diagnostics.update(stein_steps=solution.steps, residual=solution.residual)
             msd, emse = values[0]
             if len(values) > 1:
                 msd_track, emse_track = values[1]
@@ -486,4 +568,4 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
 
     return TheoryReport(stability=stab, bounds=bounds, bias_g=bias_g,
                         msd=msd, emse=emse, msd_track=msd_track,
-                        emse_track=emse_track, warnings=warnings)
+                        emse_track=emse_track, warnings=warnings, diagnostics=diagnostics)

@@ -434,6 +434,42 @@ class TestScenarioSchema:
         assert "outputs.curve and outputs.trajectory both name" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("command, key", [
+        (["simulate"], "curve"), (["simulate"], "trajectory"), (["theory"], "report"),
+        (["compare", "--rules", "uniform,metropolis", "--simulate"], "compare")])
+    @pytest.mark.parametrize("name, what", [
+        ("scenario.json", "the scenario file"), ("./net.json", "network"),
+        ("sub/../a2.json", "rules.a2 file:a2.json")], ids=["scenario", "network", "matrix"])
+    def test_output_naming_an_input_is_config_error_before_any_work(
+            self, command, key, name, what, tmp_path, capsys, monkeypatch):
+        import diffnet.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its output paths")
+
+        for work in ("run_monte_carlo", "theory_report"):
+            monkeypatch.setattr(diffnet.cli, work, no_work)
+        net = random_network(3, 4, 2, 0.6, NOISY_RANGES)
+        (tmp_path / "a2.json").write_text(json.dumps(uniform(net.topology).tolist()))
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10,
+                             rules={"a1": "identity", "a2": "file:a2.json"},
+                             outputs={key: name})
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(command + ["--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        target = (tmp_path / name).resolve()
+        assert f"outputs.{key} and {what} both name {target}" in err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_compare_rule_file_is_an_input(self, tmp_path, capsys):
+        net = random_network(3, 4, 2, 0.6, NOISY_RANGES)
+        (tmp_path / "a2.json").write_text(json.dumps(uniform(net.topology).tolist()))
+        cfg = write_scenario(tmp_path, net, runs=1, iterations=10,
+                             outputs={"compare": "a2.json"})
+        argv = ["compare", "--config", str(cfg), "--rules", "uniform, file:a2.json"]
+        assert main(argv) == EXIT_CONFIG
+        assert "outputs.compare and --rules file:a2.json both name" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["gen-scenario", "--preset", "noisy_exchange_atc"],
                                          ["simulate"], ["theory"],
                                          ["compare", "--rules", "uniform,metropolis"]],

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnet.combine import metropolis, uniform
+from diffnet.cli import PRESETS
+from diffnet.combine import matrices_from_rules, metropolis, uniform
 from diffnet.linalg import spectral_radius
 from diffnet.network import (
     CombinationMatrices,
@@ -334,6 +335,56 @@ class TestSteinSolver:
     def test_non_finite_input_stops_at_the_step_cap(self):
         with pytest.raises(InstabilityError, match="did not converge"):
             _stein_solve(np.array([[np.nan]]), [np.eye(1)], 0.5)
+
+
+class TestRealArithmetic:
+    """A real B runs every solve in float64, whatever W is."""
+
+    def test_real_b_with_complex_numerator_matches_kronecker_formula(self):
+        net = random_network(21, 5, 2, 0.6, NOISY_RANGES)
+        assert np.any(net.weights.w0.imag != 0.0)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=1e-4 * random_psd(np.random.default_rng(21), 2))
+        mats = rule_set("both", net.topology, 5, sharing=True)
+        md = assemble_mean_dynamics(net, mats)
+        assert md.arithmetic == "real" and not np.iscomplexobj(md.b)
+        assert np.any(md.z != 0.0)
+        num = assemble_noise_moments(net, mats, md)
+        numerators = [num, num + _tracking_numerator(md, net.weights.r_eta)]
+        assert all(np.linalg.norm(w.imag) > 1e-6 * np.linalg.norm(w) for w in numerators)
+        omegas = theory._omegas(net) + [random_psd(np.random.default_rng(22), 10)]
+        solution = _stein_solve(md.b, numerators, md.rho_b)
+        assert solution.residual <= 1e-12
+        for x, w in zip(solution, numerators):
+            for omega in omegas:
+                want = kronecker_value(md.b, w, omega)
+                got = np.einsum("ij,ji->", x, omega)
+                assert abs(got - want) <= 1e-10 * abs(want)
+
+    @staticmethod
+    def preset_report(preset, stationary=False):
+        net, scen = PRESETS[preset](1)
+        if stationary:
+            net.weights.mode = "constant"
+        mats, _ = matrices_from_rules(net, scen["rules"])
+        return theory_report(net, mats).to_dict()
+
+    @pytest.mark.parametrize("preset, arithmetic", [
+        ("noisy_exchange_atc", "real"), ("noisy_exchange_cta", "real"),
+        ("tracking_low_noise", "complex"), ("tracking_high_noise", "complex")])
+    def test_presets_report_their_arithmetic(self, preset, arithmetic):
+        assert self.preset_report(preset)["diagnostics"]["arithmetic"] == arithmetic
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_solve_to_a_small_residual(self, preset):
+        """A rotating target has no closed form, so the tracking presets are solved held still."""
+        diagnostics = self.preset_report(preset, stationary=True)["diagnostics"]
+        assert diagnostics["stein_steps"] >= 1
+        assert diagnostics["residual"] <= 1e-12
+
+    def test_rotating_target_reports_no_solve(self):
+        diagnostics = self.preset_report("tracking_low_noise")["diagnostics"]
+        assert diagnostics == {"arithmetic": "complex", "stein_steps": None, "residual": None}
 
 
 class TestStepSizeBounds:
