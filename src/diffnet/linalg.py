@@ -13,6 +13,7 @@ __all__ = [
     "psd_factor",
     "db10",
     "hermitize",
+    "node_product",
     "spectral_radius",
 ]
 
@@ -53,6 +54,14 @@ def db10(x) -> np.ndarray:
 
 def hermitize(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().swapaxes(-1, -2))
+
+
+def node_product(a_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_t @ x over x's node axis (its second to last); a complex x through its real view,
+    so its two parts take one real product, one dgemm call per matrix of a stack."""
+    if not np.iscomplexobj(x):
+        return np.matmul(a_t, x)
+    return np.matmul(a_t, np.ascontiguousarray(x).view(float)).view(complex)
 
 
 def spectral_radius(x: np.ndarray) -> float:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import crandn, db10, psd_factor
+from .linalg import crandn, db10, node_product, psd_factor
 from .network import WEIGHT_MODES, CombinationMatrices, NetworkModel
 
 __all__ = [
@@ -188,9 +188,9 @@ class StepOperator:
 
 
 def _static_combine(a_t: np.ndarray, x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    """A^T x over the node axis, on x's real view, plus the receivers' noise sums (None for
-    zero); numpy makes one dgemm call per run, so a run's bits do not depend on the batch."""
-    out = np.matmul(a_t, np.ascontiguousarray(x).view(float)).view(complex)
+    """A^T x over the node axis, plus the receivers' noise sums (None for zero); numpy makes
+    one dgemm call per run, so a run's bits do not depend on the batch."""
+    out = node_product(a_t, x)
     if noise is not None:
         out += noise
     return out

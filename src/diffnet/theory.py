@@ -2,30 +2,35 @@
 
 Everything here works on the stacked network error vector (node-major, M
 coordinates per node). The central objects are the mean-transition matrix B,
-the mean driving vector z induced by regressor link noise (it biases the
-mean to g), and the numerator W of the steady-state metric
+the mean drive y induced by regressor link noise (it biases the mean to g),
+and the numerator W of the steady-state metric
 
-    value = tr(X omega),   X = B X B^H + W  (a Stein / discrete Lyapunov equation),
+    value = tr(X omega),   X = B X B^H + W  (a Stein / discrete Lyapunov equation).
 
-    W = A2^T [R_w + M (C^T S C + T + z z^H) M - A1^T g z^H M - M z g^H A1] A2 + R_psi,
+Each combine acts over the node axis (``node_product``, as in the engine), so
+every lifted term is a block congruence of an (N, M, M) stack, K(L, X, R)
+with block (k, l) = sum_j L[j, k] X_j R[j, l], and K(L, X) = K(L, X, L).
+With M = diag(mu), y = ((M A2)^T (x) I) z and x = ((A1 A2)^T (x) I) g,
 
-with NM x NM lifts: S gradient noise, T shared-data noise, R_w and R_psi link
-noise on estimates and intermediate estimates, M step sizes. A random-walk
-target adds R_zeta = 1 1^T (x) R_eta. X is solved by squared Smith doubling
-(R. A. Smith, SIAM J. Appl. Math. 16(1), 1968) with NM x NM products only.
-Network MSD uses weighting I/N, network EMSE the block-diagonal regressor
-covariance over N.
+    B = K(A2, I - M R', A1^T),
+    W = K(C M A2, S) + K(A2, R_w + M^2 T) + bdiag(R_psi) + y y^H - x y^H - y x^H,
 
-B is real whenever R_u, the regressor link noise and the combine matrices
-are, as on the noisy-exchange presets. Assembly checks once whether any entry
-of B has an imaginary part; if none has, B is stored real and the Stein
-solve, the spectral radius and the bias solve run in float64. A complex W
-(z != 0 with a complex w0) is then solved as its real and imaginary parts.
-The lifts are real, so W is assembled from real products either way.
+with S, T, R_w and R_psi stacking gradient noise, shared-data noise and the
+link noise each receiver takes in on estimates and on intermediate estimates.
+A random-walk target adds R_zeta = 1 1^T (x) R_eta. X is solved by squared
+Smith doubling (R. A. Smith, SIAM J. Appl. Math. 16(1), 1968) with NM x NM
+products only. Network MSD weighs X by I/N, network EMSE by bdiag(R_u)/N.
+
+B is stored real when no entry has an imaginary part, as whenever R_u, the
+regressor link noise and the combines are real (the noisy-exchange presets).
+The Stein solve, the spectral radius and the bias solve then run in float64;
+a complex W (z != 0 with a complex w0) is solved as its real and imaginary parts.
 ``theory_report`` records this in ``diagnostics``: ``arithmetic`` ("real" or
-"complex"), ``stein_steps`` (doubling steps) and ``residual`` (the largest
-||X - B X B^H - W||_F / ||X||_F over the numerators), the last two None when
-no steady state is solved.
+"complex"), ``stein_steps`` (doubling steps), ``residual`` (the largest
+||X - B X B^H - W||_F / ||X||_F over the numerators) and ``imag_residual``
+(the largest |Im v| / |v| over the metrics v), None when no steady state is
+solved, and ``tracking_residual`` (R_zeta's relative change under the
+combines), None unless the target is a random walk.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitize, spectral_radius
+from .linalg import hermitize, node_product, spectral_radius
 from .network import CombinationMatrices, NetworkModel
 
 __all__ = [
@@ -73,17 +78,18 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(n * m, n * m)
 
 
-def _real_sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ x @ right for real ``left`` and ``right``, in real products on x's two parts."""
-    if not np.iscomplexobj(x):
-        return left @ x @ right
-    re, im = left @ np.stack([x.real, x.imag]) @ right
-    return re + 1j * im
+def _congruence(left: np.ndarray, blocks: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(left (x) I)^T bdiag(blocks) (right (x) I) for real N x N ``left`` and ``right``: block
+    (k, l) is sum_j left[j, k] blocks[j] right[j, l], one product over the node axis."""
+    n, m, _ = blocks.shape
+    blocks = blocks if np.any(blocks.imag) else blocks.real
+    scaled = blocks[:, :, None, :] * right[:, None, :, None]  # [j, a, l, b]
+    return node_product(left.T, scaled.reshape(n, -1)).reshape(n * m, n * m)
 
 
 @dataclass
 class MeanDynamics:
-    """Mean error recursion  E err_i = b (E err_{i-1}) - a2_lift^T big_m z.
+    """Mean error recursion  E err_i = b (E err_{i-1}) - drive,  drive = ((M A2)^T (x) I) z.
 
     ``b`` is float64 when it has no imaginary part, and every solve on it then
     runs in real arithmetic.
@@ -95,10 +101,8 @@ class MeanDynamics:
     r_prime: np.ndarray
     b: np.ndarray
     z: np.ndarray
-    big_m: np.ndarray
-    a1_lift: np.ndarray
-    a2_lift: np.ndarray
-    c_lift: np.ndarray
+    mu: np.ndarray
+    drive: np.ndarray
 
     @property
     def arithmetic(self) -> str:
@@ -138,30 +142,26 @@ def assemble_mean_dynamics(network: NetworkModel, matrices: CombinationMatrices,
         coeff[:, None, None] * (r_u[links.src] + r_u_link), axis=0)
     z_blocks = links.segment_sum(-coeff[:, None] * (r_u_link @ w_o), axis=0)
 
-    big_m = np.kron(np.diag(network.nodes.mu), np.eye(m))
-    a1_lift, a2_lift, c_lift = (np.kron(a, np.eye(m)) for a in (matrices.a1, matrices.a2, c))
-    mu_lift = np.repeat(network.nodes.mu, m)
-    b = _real_sandwich(a2_lift.T, np.eye(n * m) - mu_lift[:, None] * _block_diag(r_prime),
-                       a1_lift.T)
+    mu = network.nodes.mu.copy()
+    b = _congruence(matrices.a2, np.eye(m) - mu[:, None, None] * r_prime, matrices.a1.T)
     if not np.any(b.imag):
         b = np.ascontiguousarray(b.real)
+    drive = node_product((mu[:, None] * matrices.a2).T, z_blocks).reshape(-1)
     return MeanDynamics(n_nodes=n, m_dim=m, w_o=w_o, r_prime=r_prime, b=b,
-                        z=z_blocks.reshape(-1), big_m=big_m,
-                        a1_lift=a1_lift, a2_lift=a2_lift, c_lift=c_lift)
+                        z=z_blocks.reshape(-1), mu=mu, drive=drive)
 
 
 def bias(mean_dynamics: MeanDynamics) -> np.ndarray:
     """Asymptotic mean error: the fixed point of the mean recursion.
 
-    Solves (I - b) g = -a2_lift^T big_m z. Zero exactly when z is zero. A real
-    b takes the real and imaginary parts of the right side as two real columns.
+    Solves (I - b) g = -drive. Zero exactly when z is zero. A real b takes the
+    real and imaginary parts of the right side as two real columns.
     """
     md = mean_dynamics
-    rhs = -(md.a2_lift.T @ (md.big_m @ md.z))
-    lhs = np.eye(len(rhs)) - md.b
+    lhs = np.eye(len(md.drive)) - md.b
     if np.iscomplexobj(lhs):
-        return np.linalg.solve(lhs, rhs)
-    parts = np.linalg.solve(lhs, np.stack([rhs.real, rhs.imag], axis=1))
+        return np.linalg.solve(lhs, -md.drive)
+    parts = np.linalg.solve(lhs, -np.stack([md.drive.real, md.drive.imag], axis=1))
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -226,11 +226,7 @@ def step_size_bounds(network: NetworkModel, matrices: CombinationMatrices,
 
 def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
                            mean_dynamics: MeanDynamics | None = None) -> np.ndarray:
-    """The numerator W of the steady-state Stein equation, as in the module docstring.
-
-    M is diagonal, so it is applied as a scale; W takes four NM x NM products,
-    all real: the lifts are real, so each multiplies W's two parts in turn.
-    """
+    """The numerator W of the steady-state Stein equation, as in the module docstring."""
     md = mean_dynamics if mean_dynamics is not None else assemble_mean_dynamics(network, matrices)
     links = network.topology.link_table()
     src, dst = links.src, links.dst
@@ -238,22 +234,23 @@ def assemble_noise_moments(network: NetworkModel, matrices: CombinationMatrices,
     r_u = network.nodes.r_u
     sigma_v2 = network.nodes.sigma_v2
     w_o = md.w_o
-    mu = np.diag(md.big_m)
-
-    s = _block_diag(sigma_v2[:, None, None] * r_u)
+    mu, a2 = md.mu, matrices.a2
 
     def link_sum(mat, per_link):
-        """Block-diagonal sum over in-links of mat[l, k]^2 * per_link[p]."""
-        return _block_diag(links.segment_sum((mat[src, dst] ** 2)[:, None, None] * per_link, axis=0))
+        """(N, M, M) sums over each receiver's in-links of mat[l, k]^2 * per_link[p]."""
+        return links.segment_sum((mat[src, dst] ** 2)[:, None, None] * per_link, axis=0)
 
     sd2 = ln.sigma_d2[:, None, None]
     quad = np.einsum("m,pmq,q->p", w_o.conj(), ln.r_u_link, w_o).real[:, None, None]
     t = link_sum(matrices.c, (sigma_v2[src, None, None] + sd2) * ln.r_u_link
                  + (sd2 + quad) * r_u[src])
-    shared = _real_sandwich(md.c_lift.T, s, md.c_lift) + t + np.outer(md.z, md.z.conj())
-    cross = np.outer(md.a1_lift.T @ md.bias_g, md.z.conj() * mu)
-    inner = link_sum(matrices.a1, ln.r_w) + mu[:, None] * shared * mu - cross - cross.conj().T
-    return _real_sandwich(md.a2_lift.T, inner, md.a2_lift) + link_sum(matrices.a2, ln.r_psi)
+    cma = matrices.c * mu @ a2
+    x = node_product((matrices.a1 @ a2).T, md.bias_g.reshape(md.n_nodes, -1)).reshape(-1)
+    cross = np.outer(x, md.drive.conj())
+    return (_congruence(cma, sigma_v2[:, None, None] * r_u, cma)
+            + _congruence(a2, link_sum(matrices.a1, ln.r_w) + mu[:, None, None] ** 2 * t, a2)
+            + _block_diag(link_sum(a2, ln.r_psi))
+            + np.outer(md.drive, md.drive.conj()) - cross - cross.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +264,6 @@ def _check_real(value: complex, context: str) -> float:
             f"{context}: imaginary residual {value.imag:.3e} exceeds tolerance"
         )
     return float(value.real)
-
-
-def _series_accumulate(b: np.ndarray, numerator: np.ndarray, omega: np.ndarray,
-                       rho2: float, tol: float, max_terms: int):
-    bh = b.conj().T
-    x = numerator.astype(complex)
-    total = 0.0 + 0.0j
-    tail_gain = rho2 / max(1.0 - rho2, 1e-300)
-    for j in range(max_terms):
-        term = np.einsum("ij,ji->", x, omega)
-        total += term
-        if abs(term) * tail_gain <= tol * max(abs(total), 1e-300) or abs(term) == 0.0:
-            return total, j + 1
-        x = b @ x @ bh
-    raise InstabilityError(f"series did not converge within {max_terms} terms")
 
 
 @dataclass
@@ -335,17 +317,18 @@ def _stein_solve(b: np.ndarray, numerators, rho_b: float) -> SteinSolution:
 
 
 def _steady_state(network: NetworkModel, matrices: CombinationMatrices, md: MeanDynamics,
-                  r_eta: np.ndarray | None = None
-                  ) -> tuple[list[tuple[float, float]], SteinSolution]:
+                  r_eta: np.ndarray | None = None) -> tuple[list[tuple[float, float]], dict]:
     """(MSD, EMSE) for the Stein numerator W and, given ``r_eta``, for W + R_zeta, from one
-    Stein solve, and that solve; ValueError if the combine does not keep R_zeta
-    (``_tracking_numerator``)."""
+    Stein solve, and that solve's ``stein_steps``, ``residual`` and ``imag_residual``;
+    ValueError if the combine does not keep R_zeta (``_tracking_numerator``)."""
     w = assemble_noise_moments(network, matrices, md)
-    numerators = [w] if r_eta is None else [w, w + _tracking_numerator(md, r_eta)]
+    numerators = [w] if r_eta is None else [w, w + _tracking_numerator(matrices, r_eta)]
     omegas = _omegas(network)
     solution = _stein_solve(md.b, numerators, md.rho_b)
-    return [tuple(_check_real(complex(np.einsum("ij,ji->", x, omega)), "steady-state metric")
-                  for omega in omegas) for x in solution], solution
+    traces = [[complex(np.einsum("ij,ji->", x, omega)) for omega in omegas] for x in solution]
+    imag = max(abs(v.imag) / max(abs(v), 1e-300) for row in traces for v in row)
+    return ([tuple(_check_real(v, "steady-state metric") for v in row) for row in traces],
+            {"stein_steps": solution.steps, "residual": solution.residual, "imag_residual": imag})
 
 
 def _omegas(network: NetworkModel) -> list[np.ndarray]:
@@ -375,8 +358,16 @@ def series_msd(mean_dynamics: MeanDynamics, numerator: np.ndarray,
         raise InstabilityError(
             f"mean-square recursion unstable: rho(B)^2 = {rho2:.6f} >= 1"
         )
-    total, terms = _series_accumulate(md.b, numerator, weighting, rho2, tol, max_terms)
-    return _check_real(total, "steady-state metric (series)"), terms
+    b, bh = md.b, md.b.conj().T
+    x, total = numerator.astype(complex), 0.0 + 0.0j
+    tail_gain = rho2 / max(1.0 - rho2, 1e-300)
+    for terms in range(1, max_terms + 1):
+        term = np.einsum("ij,ji->", x, weighting)
+        total += term
+        if abs(term) * tail_gain <= tol * max(abs(total), 1e-300) or abs(term) == 0.0:
+            return _check_real(total, "steady-state metric (series)"), terms
+        x = b @ x @ bh
+    raise InstabilityError(f"series did not converge within {max_terms} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +382,22 @@ class TrackingMetrics:
     emse_stationary: float
 
 
-def _tracking_numerator(md: MeanDynamics, r_eta: np.ndarray) -> np.ndarray:
-    """R_zeta, the covariance that random-walk target increments add to W.
-
-    Every node sees the same increment, so R_zeta = 1 1^T (x) R_eta. It must
-    be invariant under the lifted combine steps, which holds whenever A1 and
-    A2 are left stochastic; the identity is verified numerically. The lifted
-    steps map R_zeta to v v^T (x) R_eta, with v = A2^T A1^T 1 real, so the
-    Frobenius norm of the change is ||v v^T - 1 1^T|| ||R_eta||.
-    """
-    n = md.n_nodes
-    r_eta = np.asarray(r_eta, dtype=complex)
-    r_zeta = np.kron(np.ones((n, n)), r_eta)
-    v = (md.a2_lift.T @ (md.a1_lift.T @ np.ones(n * md.m_dim)))[::md.m_dim]
+def _tracking_residual(matrices: CombinationMatrices, r_eta: np.ndarray) -> float:
+    """||v v^T - 1 1^T|| ||R_eta|| / max(N ||R_eta||, 1), v = A2^T A1^T 1: how far the combine
+    steps move R_zeta (to v v^T (x) R_eta), relative to it; zero if A1 and A2 are left stochastic."""
+    n = len(matrices.a1)
+    v = matrices.a2.T @ (matrices.a1.T @ np.ones(n))
     eta_norm = float(np.linalg.norm(r_eta))
-    scale = max(n * eta_norm, 1.0)
-    if float(np.linalg.norm(np.outer(v, v) - 1.0)) * eta_norm > 1e-10 * scale:
-        raise ValueError(
-            "tracking correction requires left-stochastic combination matrices"
-        )
-    return r_zeta
+    return float(np.linalg.norm(np.outer(v, v) - 1.0)) * eta_norm / max(n * eta_norm, 1.0)
+
+
+def _tracking_numerator(matrices: CombinationMatrices, r_eta: np.ndarray) -> np.ndarray:
+    """R_zeta = 1 1^T (x) R_eta, the covariance that random-walk target increments (the same at
+    every node) add to W; ValueError unless the combine steps keep it (``_tracking_residual``)."""
+    if _tracking_residual(matrices, r_eta) > 1e-10:
+        raise ValueError("tracking correction requires left-stochastic combination matrices")
+    n = len(matrices.a1)
+    return np.kron(np.ones((n, n)), np.asarray(r_eta, dtype=complex))
 
 
 def tracking_metrics(network: NetworkModel, matrices: CombinationMatrices,
@@ -443,13 +430,12 @@ def stability_report(mean_dynamics: MeanDynamics) -> StabilityInfo:
     """Spectral radii of the mean and mean-square recursions.
 
     rho_spectral_bound is the spectral radius of the block-diagonal adapt
-    factor; it upper-bounds rho(B) because the combine lifts have unit block
+    factor; it upper-bounds rho(B) because the combine steps have unit block
     maximum norm.
     """
     md = mean_dynamics
     rho_b = md.rho_b
-    mu = np.real(np.diag(md.big_m))[::md.m_dim]
-    blocks = np.eye(md.m_dim) - mu[:, None, None] * md.r_prime
+    blocks = np.eye(md.m_dim) - md.mu[:, None, None] * md.r_prime
     rho_bound = float(np.abs(np.linalg.eigvalsh(hermitize(blocks))).max())
     rho_f = rho_b ** 2
     return StabilityInfo(
@@ -520,8 +506,9 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
 
     Instability never raises here: it lands in ``warnings`` and the affected
     metrics are left as None, as are MSD and EMSE for a rotating target.
-    ``diagnostics`` names the arithmetic of the solves and, once the Stein
-    solve has run, its doubling steps and residual (None before).
+    ``diagnostics`` names the arithmetic of the solves, the tracking residual
+    for a random-walk target and, once the Stein solve has run, its doubling
+    steps, residual and imaginary residual (None before).
     """
     md = assemble_mean_dynamics(network, matrices)
     stab = stability_report(md)
@@ -546,20 +533,23 @@ def theory_report(network: NetworkModel, matrices: CombinationMatrices) -> Theor
         warnings.append("bias solve failed: mean recursion is singular")
 
     msd = emse = msd_track = emse_track = None
-    diagnostics = {"arithmetic": md.arithmetic, "stein_steps": None, "residual": None}
+    r_eta = network.weights.r_eta if network.weights.mode == "random_walk" else None
+    diagnostics = {"arithmetic": md.arithmetic, "stein_steps": None, "residual": None,
+                   "imag_residual": None, "tracking_residual": None}
+    if r_eta is not None:
+        diagnostics["tracking_residual"] = _tracking_residual(matrices, r_eta)
     if not stab.mean_square_stable:
         warnings.append(f"mean-square-unstable: rho(B)^2 = {stab.rho_f:.6f}")
     elif network.weights.mode == "rotation":
         warnings.append("steady-state metrics omitted: no closed form for target mode 'rotation'")
     else:
-        r_eta = network.weights.r_eta if network.weights.mode == "random_walk" else None
         try:
             try:
-                values, solution = _steady_state(network, matrices, md, r_eta)
+                values, solved = _steady_state(network, matrices, md, r_eta)
             except ValueError as exc:
                 warnings.append(f"tracking metrics failed: {exc}")
-                values, solution = _steady_state(network, matrices, md)
-            diagnostics.update(stein_steps=solution.steps, residual=solution.residual)
+                values, solved = _steady_state(network, matrices, md)
+            diagnostics.update(solved)
             msd, emse = values[0]
             if len(values) > 1:
                 msd_track, emse_track = values[1]

@@ -159,10 +159,10 @@ def weights_from_gamma2(topology: Topology, gamma2: np.ndarray) -> np.ndarray:
     return a
 
 
-def rho_spectral_bound(md: MeanDynamics) -> float:
+def rho_spectral_bound(network: NetworkModel, md: MeanDynamics) -> float:
     """Largest |eigenvalue| of the Hermitian adapt blocks I - mu_k r_prime[k], node by node."""
     m = md.m_dim
-    mu = np.real(np.diag(md.big_m)).reshape(md.n_nodes, m)[:, 0]
+    mu = network.nodes.mu
     rho_bound = 0.0
     for k in range(md.n_nodes):
         block = np.eye(m) - mu[k] * md.r_prime[k]
@@ -177,7 +177,8 @@ def rho_spectral_bound(md: MeanDynamics) -> float:
 
 def noise_numerator(network: NetworkModel, matrices: CombinationMatrices,
                     md: MeanDynamics) -> np.ndarray:
-    """W as the sum of three second-order moments, each with full NM x NM products.
+    """W as the sum of three second-order moments, each with full NM x NM products
+    through dense Kronecker lifts of the combines and step sizes.
 
     s: block-diagonal gradient-noise covariance from own measurements.
     r_v: covariance of all additive terms entering the error recursion: link
@@ -207,12 +208,15 @@ def noise_numerator(network: NetworkModel, matrices: CombinationMatrices,
     r_v_psi = link_sum(matrices.a2, ln.r_psi)
     zz = np.outer(md.z, md.z.conj())
 
-    a2t = md.a2_lift.T
-    r_v = a2t @ r_v_w @ md.a2_lift + r_v_psi + a2t @ md.big_m @ (t + zz) @ md.big_m @ md.a2_lift
+    eye = np.eye(network.m_dim)
+    a1_lift, a2_lift, c_lift = (np.kron(a, eye) for a in (matrices.a1, matrices.a2, matrices.c))
+    big_m = np.kron(np.diag(network.nodes.mu), eye)
+    a2t = a2_lift.T
+    r_v = a2t @ r_v_w @ a2_lift + r_v_psi + a2t @ big_m @ (t + zz) @ big_m @ a2_lift
 
-    y = -a2t @ md.a1_lift.T @ np.outer(md.bias_g, md.z.conj()) @ md.big_m @ md.a2_lift
+    y = -a2t @ a1_lift.T @ np.outer(md.bias_g, md.z.conj()) @ big_m @ a2_lift
 
-    core = a2t @ md.big_m @ md.c_lift.T @ s @ md.c_lift @ md.big_m @ md.a2_lift
+    core = a2t @ big_m @ c_lift.T @ s @ c_lift @ big_m @ a2_lift
     return core + r_v + y + y.conj().T
 
 

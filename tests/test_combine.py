@@ -230,7 +230,7 @@ def test_rules_and_theory_blocks_match_per_node_oracles(case):
     )
     mats = CombinationMatrices(a1=np.eye(n), c=uniform(topo).T, a2=metropolis(topo))
     md = assemble_mean_dynamics(net, mats)
-    assert abs(stability_report(md).rho_spectral_bound - reference.rho_spectral_bound(md)) <= 1e-14
+    assert abs(stability_report(md).rho_spectral_bound - reference.rho_spectral_bound(net, md)) <= 1e-14
     want = np.zeros((n * m, n * m), dtype=complex)
     for k in range(n):
         want[k * m:(k + 1) * m, k * m:(k + 1) * m] = md.r_prime[k]

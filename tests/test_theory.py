@@ -18,6 +18,8 @@ from diffnet.network import (
 )
 from diffnet import theory
 from diffnet.theory import (
+    _block_diag,
+    _congruence,
     _stein_solve,
     _tracking_numerator,
     InstabilityError,
@@ -146,7 +148,8 @@ class TestMeanDynamics:
         md = assemble_mean_dynamics(net, mats)
         assert np.any(md.z != 0.0)
         g = bias(md)
-        rhs = -(md.a2_lift.T @ (md.big_m @ md.z))
+        a2_lift, big_m = (np.kron(a, np.eye(net.m_dim)) for a in (mats.a2, np.diag(net.nodes.mu)))
+        rhs = -(a2_lift.T @ (big_m @ md.z))
         x = np.zeros_like(rhs)
         for _ in range(20000):
             x_next = md.b @ x + rhs
@@ -187,8 +190,8 @@ def simplified_numerator(net, mats, md):
     for p, (l, k) in enumerate(net.links):
         r_w[k * m:(k + 1) * m, k * m:(k + 1) * m] += mats.a1[l, k] ** 2 * net.link_noise.r_w[p]
         r_psi[k * m:(k + 1) * m, k * m:(k + 1) * m] += mats.a2[l, k] ** 2 * net.link_noise.r_psi[p]
-    a2t = md.a2_lift.T
-    return a2t @ (md.big_m @ s @ md.big_m + r_w) @ md.a2_lift + r_psi
+    a2_lift, big_m = (np.kron(a, np.eye(m)) for a in (mats.a2, np.diag(net.nodes.mu)))
+    return a2_lift.T @ (big_m @ s @ big_m + r_w) @ a2_lift + r_psi
 
 
 class TestSteadyState:
@@ -262,13 +265,29 @@ def test_numerator_matches_three_term_assembly(seed, n, m, kind, sharing, regres
     if random_walk:
         r_eta = 1e-4 * random_psd(np.random.default_rng(seed), m)
         want = want + np.kron(np.ones((n, n)), r_eta)
-        got = got + _tracking_numerator(md, r_eta)
+        got = got + _tracking_numerator(mats, r_eta)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def random_psd(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return g @ g.conj().T / dim
+
+
+@pytest.mark.parametrize("complex_blocks", [False, True])
+@pytest.mark.parametrize("n", [1, 4, 9])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_congruence_equals_the_kronecker_lifted_product(n, m, complex_blocks):
+    rng = np.random.default_rng(100 * n + 10 * m + complex_blocks)
+    left, right = rng.standard_normal((2, n, n))
+    blocks = rng.standard_normal((n, m, m))
+    if complex_blocks:
+        blocks = blocks + 1j * rng.standard_normal((n, m, m))
+    eye = np.eye(m)
+    want = np.kron(left, eye).T @ _block_diag(blocks) @ np.kron(right, eye)
+    got = _congruence(left, blocks, right)
+    assert np.iscomplexobj(got) == complex_blocks
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestSteinSolver:
@@ -350,7 +369,7 @@ class TestRealArithmetic:
         assert md.arithmetic == "real" and not np.iscomplexobj(md.b)
         assert np.any(md.z != 0.0)
         num = assemble_noise_moments(net, mats, md)
-        numerators = [num, num + _tracking_numerator(md, net.weights.r_eta)]
+        numerators = [num, num + _tracking_numerator(mats, net.weights.r_eta)]
         assert all(np.linalg.norm(w.imag) > 1e-6 * np.linalg.norm(w) for w in numerators)
         omegas = theory._omegas(net) + [random_psd(np.random.default_rng(22), 10)]
         solution = _stein_solve(md.b, numerators, md.rho_b)
@@ -381,10 +400,21 @@ class TestRealArithmetic:
         diagnostics = self.preset_report(preset, stationary=True)["diagnostics"]
         assert diagnostics["stein_steps"] >= 1
         assert diagnostics["residual"] <= 1e-12
+        assert diagnostics["imag_residual"] <= 1e-8
 
     def test_rotating_target_reports_no_solve(self):
         diagnostics = self.preset_report("tracking_low_noise")["diagnostics"]
-        assert diagnostics == {"arithmetic": "complex", "stein_steps": None, "residual": None}
+        assert diagnostics == {"arithmetic": "complex", "stein_steps": None, "residual": None,
+                               "imag_residual": None, "tracking_residual": None}
+
+    def test_random_walk_target_reports_its_tracking_residual(self):
+        net, scen = PRESETS["tracking_high_noise"](1)
+        net.weights = WeightTrajectory(mode="random_walk", w0=net.weights.w0,
+                                       r_eta=1e-5 * random_psd(np.random.default_rng(1), 2))
+        mats, _ = matrices_from_rules(net, scen["rules"])
+        report = theory_report(net, mats).to_dict()
+        assert report["msd_track_db"] is not None
+        assert report["diagnostics"]["tracking_residual"] <= 1e-12
 
 
 class TestStepSizeBounds:
