@@ -19,9 +19,10 @@ numbers; in memory everything is 0-based ndarray data.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,34 +117,26 @@ class Topology:
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "Topology":
-        """Build from a list of undirected cross pairs (0-based)."""
+        """Build from undirected cross pairs (0-based): a list of pairs or a (K, 2) array."""
+        edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+        outside = ((edges < 0) | (edges >= n_nodes)).any(axis=1)
+        if outside.any():
+            l, k = edges[outside.argmax()]
+            raise ValueError(f"edge ({l}, {k}) names a node outside 0..{n_nodes - 1}")
         adj = np.eye(n_nodes, dtype=bool)
-        for l, k in edges:
-            if not (0 <= l < n_nodes and 0 <= k < n_nodes):
-                raise ValueError(f"edge ({l}, {k}) names a node outside 0..{n_nodes - 1}")
-            adj[l, k] = True
-            adj[k, l] = True
+        adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
         return cls(n_nodes=n_nodes, adjacency=adj)
 
     def cross_edges(self):
         """Undirected cross pairs (l, k) with l < k."""
-        n = self.n_nodes
-        return [(l, k) for k in range(n) for l in range(k) if self.adjacency[l, k]]
+        return [(l, k) for k in range(self.n_nodes) for l in range(k) if self.adjacency[l, k]]
 
     def is_connected(self) -> bool:
-        n = self.n_nodes
-        if n == 0:
-            return False
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            k = stack.pop()
-            for l in np.flatnonzero(self.adjacency[:, k]):
-                if not seen[l]:
-                    seen[l] = True
-                    stack.append(int(l))
-        return bool(seen.all())
+        """Whether every node is reached from node 0 along adjacency[l, k] from k to l."""
+        seen = np.arange(self.n_nodes) == 0
+        while (grown := seen | self.adjacency[:, seen].any(axis=1)).sum() > seen.sum():
+            seen = grown  # each sweep adds every neighbor of the nodes seen so far
+        return bool(seen.size and seen.all())
 
     def link_table(self) -> LinkTable:
         """The canonical directed cross links; self links carry no noise and are excluded.
@@ -258,9 +251,7 @@ class ValidationReport:
         self.violations.append(message)
 
     def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(self.violations)
+        return "\n".join(self.violations) if self.violations else "ok"
 
 
 def _check_cov(report, label, mats, where=None) -> None:
@@ -303,8 +294,7 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
     """
     rep = ValidationReport()
     topo = network.topology
-    n = topo.n_nodes
-    m = network.nodes.m_dim
+    n, m = topo.n_nodes, network.nodes.m_dim
 
     adj = topo.adjacency
     if adj.shape != (n, n):
@@ -340,7 +330,6 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
 
     links = topo.link_table()
     ln = network.link_noise
-    n_links = len(links)
 
     def link(p):
         return f"{links.src[p] + 1}->{links.dst[p] + 1}"
@@ -350,7 +339,7 @@ def validate(network: NetworkModel, matrices: CombinationMatrices | None = None)
 
     link_noise_ok = True
     for name, axes in _LINK_FIELDS.items():
-        got, want = getattr(ln, name).shape, (n_links,) + (m,) * axes
+        got, want = getattr(ln, name).shape, (len(links),) + (m,) * axes
         if got != want:
             rep.add(f"link_noise.{name} has shape {got}, expected {want}")
             link_noise_ok = False
@@ -433,11 +422,9 @@ class VarianceRanges:
     regressor_style: str = "isotropic"
 
 
-def _uniform(gen, rng_pair, size=None):
-    lo, hi = rng_pair
-    if lo == hi:
-        return np.full(size, float(lo)) if size is not None else float(lo)
-    return gen.uniform(lo, hi, size=size)
+def _uniform(gen, span, size: int) -> np.ndarray:
+    lo, hi = span
+    return np.full(size, float(lo)) if lo == hi else gen.uniform(lo, hi, size=size)
 
 
 def random_connected_topology(gen: np.random.Generator, n_nodes: int, connectivity: float,
@@ -446,15 +433,12 @@ def random_connected_topology(gen: np.random.Generator, n_nodes: int, connectivi
     if n_nodes == 1:
         return Topology.from_edges(1, [])
     for _ in range(max_tries):
-        mask = gen.random((n_nodes, n_nodes)) < connectivity
-        upper = np.triu(mask, k=1)
-        adj = upper | upper.T | np.eye(n_nodes, dtype=bool)
-        topo = Topology(n_nodes, adj)
+        upper = np.triu(gen.random((n_nodes, n_nodes)) < connectivity, k=1)
+        topo = Topology(n_nodes, upper | upper.T | np.eye(n_nodes, dtype=bool))
         if topo.is_connected():
             return topo
-    raise RuntimeError(
-        f"no connected topology found in {max_tries} draws (n={n_nodes}, p={connectivity})"
-    )
+    raise RuntimeError(f"no connected topology found in {max_tries} draws "
+                       f"(n={n_nodes}, p={connectivity})")
 
 
 def random_network(seed: int, n_nodes: int, m_dim: int, connectivity: float,
@@ -470,32 +454,23 @@ def random_network(seed: int, n_nodes: int, m_dim: int, connectivity: float,
     topo = random_connected_topology(gen, n_nodes, connectivity)
 
     if vr.regressor_style == "isotropic":
-        s2 = _uniform(gen, vr.sigma_u2, n_nodes)
-        r_u = s2[:, None, None] * np.eye(m_dim)[None, :, :].astype(complex)
+        r_u = _uniform(gen, vr.sigma_u2, n_nodes)[:, None, None] * np.eye(m_dim, dtype=complex)
     elif vr.regressor_style == "trace_normalized":
-        r_u = np.empty((n_nodes, m_dim, m_dim), dtype=complex)
-        for k in range(n_nodes):
-            g = crandn(gen, (m_dim, 2 * m_dim))
-            cov = g @ g.conj().T
-            r_u[k] = cov / np.trace(cov).real
+        g = crandn(gen, (n_nodes, m_dim, 2 * m_dim))  # the draws of one node after another
+        cov = g @ g.conj().swapaxes(1, 2)
+        r_u = cov / np.trace(cov, axis1=1, axis2=2).real[:, None, None]
     else:
         raise ValueError(f"unknown regressor_style '{vr.regressor_style}'")
 
-    nodes = NodeProfile(
-        m_dim=m_dim,
-        r_u=r_u,
-        sigma_v2=_uniform(gen, vr.sigma_v2, n_nodes),
-        mu=_uniform(gen, vr.mu, n_nodes),
-    )
+    nodes = NodeProfile(m_dim=m_dim, r_u=r_u, sigma_v2=_uniform(gen, vr.sigma_v2, n_nodes),
+                        mu=_uniform(gen, vr.mu, n_nodes))
 
     n_links = len(topo.link_table())
     eye = np.eye(m_dim, dtype=complex)
-    ln = LinkNoiseProfile(
-        r_w=_uniform(gen, vr.sigma_w2, n_links)[:, None, None] * eye,
-        sigma_d2=_uniform(gen, vr.sigma_d2, n_links),
-        r_u_link=_uniform(gen, vr.sigma_u_link2, n_links)[:, None, None] * eye,
-        r_psi=_uniform(gen, vr.sigma_psi2, n_links)[:, None, None] * eye,
-    )
+    ln = LinkNoiseProfile(r_w=_uniform(gen, vr.sigma_w2, n_links)[:, None, None] * eye,
+                          sigma_d2=_uniform(gen, vr.sigma_d2, n_links),
+                          r_u_link=_uniform(gen, vr.sigma_u_link2, n_links)[:, None, None] * eye,
+                          r_psi=_uniform(gen, vr.sigma_psi2, n_links)[:, None, None] * eye)
 
     weights = WeightTrajectory(mode="constant", w0=crandn(gen, (m_dim,)))
     return NetworkModel(topology=topo, nodes=nodes, link_noise=ln, weights=weights)
@@ -560,54 +535,52 @@ def _list(value, what: str, kind: str, item_ok=None) -> list:
     return value
 
 
+_NUMBER_TYPES = frozenset((int, float))  # what JSON numbers load as; bool is excluded by type
+
+
 def _whole(value, what: str, least: int | None = None) -> int:
-    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number >= ``least``.
-
-    Booleans and strings are refused by kind, even when they would convert.
-    """
-    try:
-        number = None if isinstance(value, (bool, np.bool_, str)) else float(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or not number.is_integer():
+    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number >= ``least``
+    that :func:`_numbers` passes, so booleans and strings are refused by kind."""
+    number = _numbers([value])
+    if number is None or not number[0].is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
-    if least is not None and number < least:
+    if least is not None and number[0] < least:
         raise ValueError(f"{what} must be at least {least}, got {value!r}")
-    return int(number)
+    return int(number[0])
 
 
-_NUMBER_TYPES = (int, float)  # what JSON numbers load as; bool is excluded by type
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a float; a ValueError naming ``what`` unless it is a JSON number."""
-    if type(value) not in _NUMBER_TYPES:
-        raise ValueError(f"{what} must be a number, got {value!r:.60}")
-    return float(value)
-
-
-def _complex(pairs, what: str, *shape: int) -> np.ndarray:
-    """[re, im] number pairs as a complex array of ``shape``; else a ValueError naming ``what``."""
-    size = math.prod(shape)
+def _numbers(values, m: int = 1, axes: int = 0):
+    """K values as a float (K,) array, or complex (K, M, ...) from M**axes [re, im] pairs each;
+    None unless every number is a JSON number that a float holds, in lists of those lengths."""
+    flat = values
+    for length in (m ** axes, 2) if axes else ():  # each value's pairs, then each pair's parts
+        if not ({list}.issuperset(map(type, flat)) and {length}.issuperset(map(len, flat))):
+            return None
+        flat = list(chain.from_iterable(flat))
+    if not _NUMBER_TYPES.issuperset(map(type, flat)):
+        return None
     try:
-        flat = [re + 1j * im for re, im in pairs
-                if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES]
-        ok = len(flat) == len(pairs) == size
-    except (TypeError, ValueError):  # not a sequence of pairs
-        ok = False
-    if not ok:
-        raise ValueError(f"{what} must be {size} [re, im] pairs of numbers, got {pairs!r:.60}")
-    return np.array(flat, dtype=complex).reshape(shape)
+        array = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    return array.view(complex).reshape(len(values), *(m,) * axes) if axes else array
 
 
-def _read(entry: dict, fields: dict, what: str, m: int) -> dict:
-    """Each of ``fields`` in ``entry`` by its number of M-sized axes; ``what`` prefixes errors."""
-    return {name: _complex(entry[name], what + name, *(m,) * axes) if axes
-            else _real(entry[name], what + name)
-            for name, axes in fields.items() if name in entry}
+def _columns(entries: list, fields: dict, m: int):
+    """The ``fields`` of all ``entries`` by :func:`_numbers`; None if a key or a value fails."""
+    if not all(isinstance(entry, dict) and len(entry) == len(fields) for entry in entries):
+        return None
+    try:
+        arrays = [_numbers(list(map(itemgetter(name), entries)), m, axes)
+                  for name, axes in fields.items()]
+    except KeyError:  # an entry lacks one of the fields, so it has another key instead
+        return None
+    return None if any(array is None for array in arrays) else arrays
 
 
 def network_from_dict(data: dict) -> NetworkModel:
+    """Read a network, each field of all node or all link entries in one conversion. On a
+    fault the same checks run entry by entry in file order, and the first one raises."""
     _object(data, "network", _NETWORK_KEYS, ("n_nodes", "m_dim", "edges", "nodes", "weights"))
     n = _whole(data["n_nodes"], "n_nodes", least=1)
     m = _whole(data["m_dim"], "m_dim", least=1)
@@ -617,32 +590,58 @@ def network_from_dict(data: dict) -> NetworkModel:
     edges = _list(data["edges"], "edges", "[from, to] pairs",
                   lambda edge: isinstance(edge, list) and len(edge) == 2)
 
-    def endpoints(entry, l, k):
+    def nodes_of(ends):  # [from, to] numbers as 0-based ints; None unless each is whole in 1..n
+        whole = ends is not None and ((ends == np.trunc(ends)) & (1 <= ends) & (ends <= n)).all()
+        return ends.astype(int).reshape(-1, 2) - 1 if whole else None
+
+    def endpoints(entry, l, k):  # the check of nodes_of for one pair; a fault raises
         l, k = _whole(l, f"{entry} endpoint"), _whole(k, f"{entry} endpoint")
         if not (1 <= l <= n and 1 <= k <= n):
             raise ValueError(f"{entry} names a node outside 1..{n}")
         return l - 1, k - 1
 
-    topo = Topology.from_edges(n, [endpoints(f"edge [{l}, {k}]", l, k) for l, k in edges])
+    def fields(entry, what, names):  # one entry's values in file order; the first refused raises
+        values = {name: _numbers([entry[name]], m, axes) for name, axes in names.items()}
+        for name, axes in names.items():
+            if values[name] is None:
+                kind = f"{m ** axes} [re, im] pairs of numbers" if axes else "a number"
+                raise ValueError(f"{what}{name} must be {kind}, got {entry[name]!r:.60}")
+        return {name: value[0] if names[name] else float(value[0]) for name, value in values.items()}
 
-    rows = [_read(_object(e, f"node {k}", _NODE_FIELDS, _NODE_FIELDS), _NODE_FIELDS, f"node {k} ", m)
-            for k, e in enumerate(node_entries, 1)]
-    nodes = NodeProfile(m_dim=m, **{name: np.array([row[name] for row in rows])
-                                    for name in _NODE_FIELDS})
+    index = nodes_of(_numbers(list(chain.from_iterable(edges))))
+    if index is None:
+        for l, k in edges:
+            endpoints(f"edge [{l}, {k}]", l, k)
+    topo = Topology.from_edges(n, index)
+
+    columns = _columns(node_entries, _NODE_FIELDS, m)
+    if columns is None:
+        for k, entry in enumerate(node_entries, 1):
+            _object(entry, f"node {k}", _NODE_FIELDS, _NODE_FIELDS)
+            fields(entry, f"node {k} ", _NODE_FIELDS)
+    nodes = NodeProfile(m_dim=m, **dict(zip(_NODE_FIELDS, columns)))
 
     links = topo.link_table()
     ln = LinkNoiseProfile.zeros(len(links), m)
-    link_keys = ("from", "to", *_LINK_FIELDS)
-    for i, entry in enumerate(_list(data.get("links", []), "links", "link entries"), 1):
-        _object(entry, f"link entry #{i}", link_keys, ("from", "to"))
-        l, k = entry["from"], entry["to"]
-        l, k = endpoints(f"link entry {l}->{k}", l, k)
-        p, what = links.slot[l, k], f"link entry {l + 1}->{k + 1}"
-        if p < 0:
-            raise ValueError(f"{what} is not an edge of the topology")
-        _object(entry, what, link_keys, _LINK_FIELDS)
-        for name, value in _read(entry, _LINK_FIELDS, what + " ", m).items():
-            getattr(ln, name)[p] = value
+    link_keys = {"from": 0, "to": 0, **_LINK_FIELDS}
+    link_entries = _list(data.get("links", []), "links", "link entries")
+    columns = _columns(link_entries, link_keys, m)
+    index = nodes_of(None if columns is None else np.stack(columns[:2], axis=1))
+    rows = None if index is None else links.slot[index[:, 0], index[:, 1]]
+    if rows is None or (rows < 0).any() or len(set(rows.tolist())) < len(rows):
+        placed = set()
+        for i, entry in enumerate(link_entries, 1):
+            _object(entry, f"link entry #{i}", link_keys, ("from", "to"))
+            l, k = entry["from"], entry["to"]
+            l, k = endpoints(f"link entry {l}->{k}", l, k)
+            p, what = links.slot[l, k], f"link entry {l + 1}->{k + 1}"
+            if p < 0 or p in placed:
+                fault = "is given twice" if p in placed else "is not an edge of the topology"
+                raise ValueError(f"{what} {fault}")
+            placed.add(p)
+            fields(_object(entry, what, link_keys, _LINK_FIELDS), what + " ", _LINK_FIELDS)
+    for name, column in zip(_LINK_FIELDS, columns[2:]):
+        getattr(ln, name)[rows] = column
 
     wd = _object(data["weights"], "weights", ("mode", *_TARGET_FIELDS), ("mode", "w0"))
     mode = wd["mode"]
@@ -650,7 +649,8 @@ def network_from_dict(data: dict) -> NetworkModel:
         raise ValueError(f"unknown weight mode '{mode}'")
     own = {"random_walk": ("r_eta",), "rotation": ("omega",)}.get(mode, ())
     _object(wd, "weights", ("mode", *_TARGET_FIELDS), own)  # r_eta and omega in their own mode
-    weights = WeightTrajectory(mode=mode, **_read(wd, _TARGET_FIELDS, "weights.", m))
+    given = {name: axes for name, axes in _TARGET_FIELDS.items() if name in wd}
+    weights = WeightTrajectory(mode=mode, **fields(wd, "weights.", given))
     return NetworkModel(topology=topo, nodes=nodes, link_noise=ln, weights=weights)
 
 

@@ -353,7 +353,7 @@ def series_msd(mean_dynamics: MeanDynamics, numerator: np.ndarray,
     md = mean_dynamics
     if weighting is None:
         weighting = np.eye(md.b.shape[0]) / md.n_nodes
-    rho2 = spectral_radius(md.b) ** 2
+    rho2 = md.rho_b ** 2
     if rho2 >= 1.0:
         raise InstabilityError(
             f"mean-square recursion unstable: rho(B)^2 = {rho2:.6f} >= 1"

@@ -11,16 +11,21 @@ metrics computed one iteration at a time, the oracle for the window-wise
 reduction in ``diffnet.simulate._simulate_chunk``, over windows of its own
 length; ``crandn_pairs`` is the complex sampler as one real draw of each
 entry's [re, im] pair and a complex division. The block maximum norm, the series EMSE and a topology's ``neighbors`` and
-``degree`` are helpers that only the tests use.
+``degree`` are helpers that only the tests use. ``network_from_dict_per_entry``
+reads a network file one entry and one matrix at a time, the oracle for the
+field-at-a-time reader ``diffnet.network.network_from_dict``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from diffnet.network import CombinationMatrices, NetworkModel, Topology
+from diffnet.network import (_LINK_FIELDS, _NETWORK_KEYS, _NODE_FIELDS, _TARGET_FIELDS,
+                             WEIGHT_MODES, CombinationMatrices, LinkNoiseProfile, NetworkModel,
+                             NodeProfile, Topology, WeightTrajectory, _list, _object)
 from diffnet.simulate import (DIVERGENCE_THRESHOLD, DiffusionState, StepData, _Sampler,
                               diffusion_step)
 from diffnet.theory import MeanDynamics, _block_diag, series_msd
@@ -368,3 +373,108 @@ def simulate_chunk(network, op, mode, options, policy, runs, iterations):
             done += t_win
     return {"msd": msd, "emse": emse, "bad": bad, "err": err_traj,
             "wbar": wbar, "wtrue": wtrue_traj}
+
+
+# ---------------------------------------------------------------------------
+# network files, one entry at a time
+
+_NUMBER_TYPES = (int, float)
+
+
+def _whole(value, what: str, least: int | None = None) -> int:
+    try:
+        number = None if isinstance(value, (bool, np.bool_, str)) else float(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or not number.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if least is not None and number < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return int(number)
+
+
+def _real(value, what: str) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{what} must be a number, got {value!r:.60}")
+    return float(value)
+
+
+def _complex(pairs, what: str, *shape: int) -> np.ndarray:
+    size = math.prod(shape)
+    try:
+        flat = [re + 1j * im for re, im in pairs
+                if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES]
+        ok = len(flat) == len(pairs) == size
+    except (TypeError, ValueError):  # not a sequence of pairs
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be {size} [re, im] pairs of numbers, got {pairs!r:.60}")
+    return np.array(flat, dtype=complex).reshape(shape)
+
+
+def _read(entry: dict, fields: dict, what: str, m: int) -> dict:
+    return {name: _complex(entry[name], what + name, *(m,) * axes) if axes
+            else _real(entry[name], what + name)
+            for name, axes in fields.items() if name in entry}
+
+
+def network_from_dict_per_entry(data: dict) -> NetworkModel:
+    """Read a network description one edge, entry and matrix at a time.
+
+    Every check runs in file order and raises the library's message. Beyond
+    the checks it was written with, it refuses a link entry given twice.
+    Numbers are converted as ``re + 1j * im``, so a non-finite part can
+    spread to the other part of the same entry.
+    """
+    _object(data, "network", _NETWORK_KEYS, ("n_nodes", "m_dim", "edges", "nodes", "weights"))
+    n = _whole(data["n_nodes"], "n_nodes", least=1)
+    m = _whole(data["m_dim"], "m_dim", least=1)
+    node_entries = _list(data["nodes"], "nodes", "node entries")
+    if len(node_entries) != n:
+        raise ValueError(f"expected {n} node entries, got {len(node_entries)}")
+    edges = _list(data["edges"], "edges", "[from, to] pairs",
+                  lambda edge: isinstance(edge, list) and len(edge) == 2)
+
+    def endpoints(entry, l, k):
+        l, k = _whole(l, f"{entry} endpoint"), _whole(k, f"{entry} endpoint")
+        if not (1 <= l <= n and 1 <= k <= n):
+            raise ValueError(f"{entry} names a node outside 1..{n}")
+        return l - 1, k - 1
+
+    adj = np.eye(n, dtype=bool)
+    for l, k in edges:
+        l, k = endpoints(f"edge [{l}, {k}]", l, k)
+        adj[l, k] = adj[k, l] = True
+    topo = Topology(n_nodes=n, adjacency=adj)
+
+    rows = [_read(_object(e, f"node {k}", _NODE_FIELDS, _NODE_FIELDS), _NODE_FIELDS, f"node {k} ", m)
+            for k, e in enumerate(node_entries, 1)]
+    nodes = NodeProfile(m_dim=m, **{name: np.array([row[name] for row in rows])
+                                    for name in _NODE_FIELDS})
+
+    links = topo.link_table()
+    ln = LinkNoiseProfile.zeros(len(links), m)
+    link_keys = ("from", "to", *_LINK_FIELDS)
+    placed = set()
+    for i, entry in enumerate(_list(data.get("links", []), "links", "link entries"), 1):
+        _object(entry, f"link entry #{i}", link_keys, ("from", "to"))
+        l, k = entry["from"], entry["to"]
+        l, k = endpoints(f"link entry {l}->{k}", l, k)
+        p, what = links.slot[l, k], f"link entry {l + 1}->{k + 1}"
+        if p < 0:
+            raise ValueError(f"{what} is not an edge of the topology")
+        if p in placed:
+            raise ValueError(f"{what} is given twice")
+        placed.add(p)
+        _object(entry, what, link_keys, _LINK_FIELDS)
+        for name, value in _read(entry, _LINK_FIELDS, what + " ", m).items():
+            getattr(ln, name)[p] = value
+
+    wd = _object(data["weights"], "weights", ("mode", *_TARGET_FIELDS), ("mode", "w0"))
+    mode = wd["mode"]
+    if mode not in WEIGHT_MODES:
+        raise ValueError(f"unknown weight mode '{mode}'")
+    own = {"random_walk": ("r_eta",), "rotation": ("omega",)}.get(mode, ())
+    _object(wd, "weights", ("mode", *_TARGET_FIELDS), own)
+    weights = WeightTrajectory(mode=mode, **_read(wd, _TARGET_FIELDS, "weights.", m))
+    return NetworkModel(topology=topo, nodes=nodes, link_noise=ln, weights=weights)

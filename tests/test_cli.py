@@ -251,6 +251,7 @@ class TestSimulate:
         ("runs", 0, "runs must be at least 1, got 0"),
         ("iterations", -5, "iterations must be at least 1, got -5"),
         ("seed", -1, "seed must be at least 0, got -1"),
+        pytest.param("runs", 10 ** 400, "runs must be a whole number, got 1000", id="runs-huge"),
     ])
     def test_bad_run_setting_is_config_error(self, field, value, message, tmp_path, capsys):
         cfg = write_scenario(tmp_path, scalar_network(), **{"runs": 1, "iterations": 10,
@@ -328,6 +329,8 @@ class TestScenarioSchema:
         ("m_dim", True, "m_dim must be a whole number, got True"),
         ("edge", True, "edge [True, 2] endpoint must be a whole number"),
         ("link", "2", "link entry 2->1 endpoint must be a whole number"),
+        pytest.param("n_nodes", 10 ** 400, "n_nodes must be a whole number, got 1000",
+                     id="n_nodes-huge"),
     ])
     def test_boolean_or_string_network_index_is_config_error(self, where, value, message,
                                                              tmp_path, capsys):
@@ -356,9 +359,12 @@ class TestScenarioSchema:
         ("link", "r_psi", 0.0, "r_psi must be 4 [re, im] pairs of numbers, got 0.0"),
         ("weights", "w0", [[1.0], [0.0, 1.0]], "weights.w0 must be 2 [re, im] pairs of numbers"),
         ("weights", "omega", "0.01", "weights.omega must be a number, got '0.01'"),
+        ("node", "mu", 10 ** 400, "node 1 mu must be a number, got 1000"),
+        ("node", "r_u", [[1.0, 0.0]] * 3 + [[10 ** 400, 0.0]],
+         "node 1 r_u must be 4 [re, im] pairs of numbers"),
     ], ids=["mu-string", "mu-boolean", "sigma_v2-list", "r_u-short-pair", "r_u-too-few",
             "r_u-string-part", "r_u-boolean-part", "sigma_d2-boolean", "r_psi-number",
-            "w0-short-pair", "omega-string"])
+            "w0-short-pair", "omega-string", "mu-huge", "r_u-huge-part"])
     def test_network_value_of_the_wrong_kind_is_config_error(self, where, field, value,
                                                              message, tmp_path, capsys):
         net = random_network(3, 4, 2, 0.6, NOISY_RANGES)

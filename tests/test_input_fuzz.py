@@ -56,10 +56,43 @@ def _paths(value, path=()):
         yield from _paths(item, path + (key,))
 
 
+def paths_by_depth(value):
+    """The paths of ``value`` grouped by depth, shallowest first, so that a top-level key is
+    as likely a target as a matrix entry."""
+    groups = {}
+    for path in _paths(value):
+        groups.setdefault(len(path), []).append(path)
+    return list(groups.values())
+
+
+def mutate(draw, data, paths):
+    """``data`` after one drawn mutation at a path drawn from ``paths`` (see paths_by_depth).
+
+    Mutates ``data`` in place; a path that an earlier mutation removed leaves it unchanged.
+    """
+    path = draw(st.sampled_from(draw(st.sampled_from(paths))))
+    parent, target = None, data
+    try:
+        for key in path:
+            if not isinstance(target, (dict, list)):  # a string indexes, but is no container
+                raise TypeError(key)
+            parent, target = target, target[key]
+    except (KeyError, IndexError, TypeError):  # an earlier mutation removed the path
+        return data
+    kind = draw(st.sampled_from(["replace", "delete", "add"]))
+    if kind == "add" and isinstance(target, dict):
+        target[draw(st.sampled_from(["comment", "sigma_v", "omgea", "links"]))] = 1.0
+    elif kind == "delete" and parent is not None:
+        del parent[path[-1]]
+    elif parent is None:
+        return draw(st.sampled_from(BAD_VALUES))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    return data
+
+
 BASES = {mode: _scenario(mode) for mode in ("constant", "random_walk", "rotation")}
-# paths grouped by depth, so that a top-level key is as likely a target as a matrix entry
-PATHS = {mode: [[path for path in _paths(base) if len(path) == depth] for depth in range(7)]
-         for mode, base in BASES.items()}
+PATHS = {mode: paths_by_depth(base) for mode, base in BASES.items()}
 
 
 @st.composite
@@ -67,24 +100,7 @@ def mutated_scenarios(draw):
     mode = draw(st.sampled_from(sorted(BASES)))
     data = json.loads(json.dumps(BASES[mode]))
     for _ in range(draw(st.integers(0, 2))):
-        path = draw(st.sampled_from(draw(st.sampled_from(PATHS[mode]))))
-        parent, target = None, data
-        try:
-            for key in path:
-                if not isinstance(target, (dict, list)):  # a string indexes, but is no container
-                    raise TypeError(key)
-                parent, target = target, target[key]
-        except (KeyError, IndexError, TypeError):  # an earlier mutation removed the path
-            continue
-        kind = draw(st.sampled_from(["replace", "delete", "add"]))
-        if kind == "add" and isinstance(target, dict):
-            target[draw(st.sampled_from(["comment", "sigma_v", "omgea", "links"]))] = 1.0
-        elif kind == "delete" and parent is not None:
-            del parent[path[-1]]
-        elif parent is None:
-            data = draw(st.sampled_from(BAD_VALUES))
-        else:
-            parent[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+        data = mutate(draw, data, PATHS[mode])
     return data
 
 

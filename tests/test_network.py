@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffnet.network import (
+    WEIGHT_MODES,
     CombinationMatrices,
     LinkNoiseProfile,
     NetworkModel,
@@ -20,7 +22,8 @@ from diffnet.network import (
     save_network,
     validate,
 )
-from reference import degree, neighbors
+from reference import degree, neighbors, network_from_dict_per_entry
+from test_input_fuzz import mutate, paths_by_depth
 
 
 def chain3():
@@ -83,6 +86,26 @@ def loop_link_index(adjacency):
     """The canonical link order as a plain loop: receivers ascend, then senders."""
     n = len(adjacency)
     return [(l, k) for k in range(n) for l in range(n) if l != k and adjacency[l, k]]
+
+
+def search_connected(adjacency):
+    """Connectivity as a depth-first search from node 0 along adjacency[l, k], from k to l."""
+    seen, stack = {0}, [0]
+    while stack:
+        k = stack.pop()
+        for l in np.flatnonzero(adjacency[:, k]).tolist():
+            if l not in seen:
+                seen.add(l)
+                stack.append(l)
+    return len(seen) == len(adjacency)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2 ** 16))
+def test_connectivity_sweep_matches_a_depth_first_search(n, density, seed):
+    """Any boolean matrix: validate also asks about asymmetric ones and missing self-loops."""
+    adj = np.random.default_rng(seed).random((n, n)) < density
+    assert Topology(n, adj).is_connected() == search_connected(adj)
 
 
 @st.composite
@@ -419,7 +442,10 @@ class TestJsonRoundTrip:
         ("n_nodes", 3.9, r"n_nodes must be a whole number, got 3\.9"),
         ("m_dim", 2.5, r"m_dim must be a whole number, got 2\.5"),
         ("n_nodes", "three", r"n_nodes must be a whole number, got 'three'"),
-    ], ids=["edge-from", "edge-to", "link-from", "link-to", "n_nodes", "m_dim", "n_nodes-text"])
+        ("edges", [1, 10 ** 400], r"edge \[1, 1000\d+\] endpoint must be a whole number"),
+        ("link", {"from": 10 ** 400, "to": 1}, r"link entry 1000\d+->1 endpoint must be a whole"),
+    ], ids=["edge-from", "edge-to", "link-from", "link-to", "n_nodes", "m_dim", "n_nodes-text",
+            "edge-too-large", "link-too-large"])
     def test_non_integral_index_rejected(self, field, value, message):
         data = network_to_dict(make_network(chain3()))
         if field == "edges":
@@ -452,3 +478,79 @@ class TestJsonRoundTrip:
         data["weights"]["mode"] = "spiral"
         with pytest.raises(ValueError, match="unknown weight mode"):
             network_from_dict(data)
+
+    def test_link_entry_given_twice_rejected(self):
+        net = make_network(chain3())
+        net.link_noise.sigma_d2[:] = 0.01
+        data = network_to_dict(net)
+        data["links"].append({**data["links"][0], "sigma_d2": 0.02})
+        with pytest.raises(ValueError, match=r"^link entry 2->1 is given twice$"):
+            network_from_dict(data)
+
+
+@st.composite
+def network_files(draw):
+    """The file of a random network: N up to 40, noise on every link, any target mode."""
+    m = draw(st.integers(1, 3))
+    ranges = dataclasses.replace(NOISY_RANGES, regressor_style=draw(
+        st.sampled_from(["isotropic", "trace_normalized"])))
+    net = random_network(draw(st.integers(0, 2 ** 16)), draw(st.integers(1, 40)), m,
+                         draw(st.sampled_from([0.15, 0.3, 0.6])), ranges)
+    mode = draw(st.sampled_from(WEIGHT_MODES))
+    net.weights = WeightTrajectory(
+        mode=mode, w0=net.weights.w0,
+        r_eta=1e-4 * np.eye(m, dtype=complex) if mode == "random_walk" else None,
+        omega=0.01 if mode == "rotation" else None)
+    return json.loads(json.dumps(network_to_dict(net)))
+
+
+def assert_same_network(got, want, finite_only=False):
+    """Equal target mode and arrays; with ``finite_only``, arrays equal in which entries are
+    finite and in those entries."""
+    def arrays(net):
+        ln, w = net.link_noise, net.weights
+        return [net.topology.adjacency, net.nodes.r_u, net.nodes.sigma_v2, net.nodes.mu, ln.r_w,
+                ln.sigma_d2, ln.r_u_link, ln.r_psi, w.w0,
+                *(np.asarray(value) for value in (w.r_eta, w.omega) if value is not None)]
+
+    def target(net):
+        return net.weights.mode, net.weights.r_eta is None, net.weights.omega is None
+
+    assert target(got) == target(want)
+    for a, b in zip(arrays(got), arrays(want)):
+        assert a.dtype == b.dtype
+        if finite_only:
+            finite = np.isfinite(a)
+            assert np.array_equal(finite, np.isfinite(b))
+            a, b = a[finite], b[finite]
+        assert np.array_equal(a, b)
+
+
+def outcome(read, data):
+    """The network ``read`` makes of ``data``, or the type and message of what it raises."""
+    try:
+        return read(data), None
+    except Exception as exc:  # the oracle decides which exceptions are right
+        return None, (type(exc), str(exc))
+
+
+class TestBulkReader:
+    """``network_from_dict`` against the per-entry reader of ``reference``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(network_files())
+    def test_every_array_equals_the_per_entry_reader(self, data):
+        assert_same_network(network_from_dict(data), network_from_dict_per_entry(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_mutation_gives_the_per_entry_readers_message(self, data):
+        """A non-finite number may spread to the other part of the oracle's complex entry, so
+        accepted networks are compared on finite entries only."""
+        base = data.draw(network_files())
+        mutated = mutate(data.draw, base, paths_by_depth(base))
+        (got, got_fault), (want, want_fault) = (outcome(network_from_dict, mutated),
+                                                outcome(network_from_dict_per_entry, mutated))
+        assert got_fault == want_fault
+        if want_fault is None:
+            assert_same_network(got, want, finite_only=True)
